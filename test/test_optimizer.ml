@@ -210,6 +210,65 @@ let test_dp_matches_exhaustive () =
     [ "Q14"; "Q19"; "Q13"; "Q22"; "Q16" ]
 
 (* ------------------------------------------------------------------ *)
+(* Golden bit-identity of the DP *)
+
+module Obs = Qsens_obs.Obs
+
+let count_of name =
+  List.fold_left
+    (fun acc (m, v) ->
+      match v with
+      | Obs.Vcount n when String.equal (Obs.name m) name -> n
+      | _ -> acc)
+    0 (Obs.snapshot ())
+
+(* Every query under the three layout policies, at base costs and at 5
+   seeded cost vectors with each resource scaled by 10^U(-4,4) (Q8, the
+   eight-way join, at base costs only).  One MD5 over each call's
+   signature, exact total cost, usage vector and memo counters pins the
+   DP's output and its enumeration bit for bit: any change to the plans
+   it returns, to the floating-point path that costs them, or to how
+   many memo insertions it attempts and keeps, moves the digest. *)
+let golden_dp_digest () =
+  let buf = Buffer.create (1 lsl 16) in
+  List.iteri
+    (fun li policy ->
+      let env = env policy in
+      let base = Defaults.base_costs env.Env.space in
+      List.iteri
+        (fun qi (q : Query.t) ->
+          let st = Random.State.make [| qi; li |] in
+          let perturbed () =
+            Array.map
+              (fun c -> c *. Float.pow 10. (Random.State.float st 8. -. 4.))
+              base
+          in
+          let vectors =
+            if String.equal q.name "Q8" then [ base ]
+            else base :: List.init 5 (fun _ -> perturbed ())
+          in
+          List.iter
+            (fun costs ->
+              Obs.start ();
+              let r = Optimizer.optimize env q ~costs in
+              Obs.stop ();
+              Printf.bprintf buf "%s %s %s %.17g %d %d" q.name
+                (Layout.policy_name policy) r.signature r.total_cost
+                (count_of "optimizer.memo_inserts")
+                (count_of "optimizer.memo_kept");
+              Array.iter (Printf.bprintf buf " %.17g") r.plan.Node.usage;
+              Buffer.add_char buf '\n')
+            vectors)
+        (Qsens_tpch.Queries.all ~sf))
+    [ Layout.Same_device; Layout.Per_table_devices;
+      Layout.Per_table_and_index_devices ];
+  Obs.reset ();
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_golden_dp () =
+  Alcotest.(check string) "DP digest" "06bca0aa49132a08a8635eb085e0ed01" (golden_dp_digest ())
+
+(* ------------------------------------------------------------------ *)
 (* Narrow interface *)
 
 let test_narrow_explain_matches_white_box () =
@@ -272,6 +331,7 @@ let () =
           Alcotest.test_case "dp matches exhaustive" `Slow
             test_dp_matches_exhaustive;
           Alcotest.test_case "empty query" `Quick test_no_relations_fails;
+          Alcotest.test_case "golden DP digest" `Quick test_golden_dp;
         ] );
       ( "narrow",
         [
