@@ -54,6 +54,9 @@ type op =
 
 and t = private {
   op : op;
+  mask : int;
+      (** the aliases covered by this subtree as a bit set: bit [i] is the
+          query's [i]-th relation *)
   aliases : string list;  (** sorted aliases covered by this subtree *)
   card : float;  (** estimated output rows *)
   width : int;  (** bytes per output row *)
@@ -61,9 +64,19 @@ and t = private {
   order : order;
 }
 
-type ctx = { env : Env.t; query : Query.t; est : Cardinality.t }
+type ctx
+(** A costing context for one query under one environment.  It holds
+    everything the cost model derives from the catalog, the layout and
+    the query — per-relation and per-index statistics, join
+    selectivities, the usage-vector slot of every device a relation
+    touches — computed once, plus per-alias-set caches of join
+    cardinalities and sorted alias lists.  The caches are mutable: a
+    context belongs to one caller at a time.  Nodes built under a
+    context are valid under any context for the same query. *)
 
 val make_ctx : Env.t -> Query.t -> ctx
+(** Raises [Invalid_argument] for a query of more than 16 relations,
+    the size of the alias-set tables. *)
 
 (** {1 Constructors} *)
 
@@ -104,6 +117,54 @@ val finalize_variants : ctx -> t -> t list
 (** All finalization alternatives (hash vs sort aggregation, etc.); the
     optimizer picks the cheapest under its cost vector. *)
 
+(** {1 Costing without building}
+
+    The optimizer costs every candidate plan but keeps few of them.  It
+    computes each candidate's usage vector into one scratch vector with
+    a [Fill] function, compares its cost, and builds a node with the
+    matching [Build] function only when the candidate wins.  The
+    constructors above run the same fill functions on a fresh vector,
+    so both paths do the same floating-point operations.
+
+    A fill function overwrites its vector (of the space's dimension)
+    with the usage the matching constructor would compute, and returns
+    the output width.  It caches the join's cardinality in the context,
+    under the order of the alias set's first request: [outer]'s aliases,
+    then [inner]'s; for an index nested-loop join, the inner alias
+    first.  A [Build] function must follow its fill function on the same
+    inputs, and copies the vector into the node.  Both assume what the
+    constructor would check: merge-join inputs sorted on the join's
+    columns, an index that serves the join edge, disjoint alias sets. *)
+
+module Fill : sig
+  val block_nlj : ctx -> Vec.t -> outer:t -> inner:t -> int
+
+  val hash_join : ctx -> Vec.t -> build:t -> probe:t -> int
+
+  val merge_join : ctx -> Vec.t -> left:t -> Vec.t -> right:t -> Vec.t -> int
+  (** [merge_join ctx u ~left lu ~right ru] joins [left] and [right]
+      with usage [lu] and [ru]: the usage of their sorted forms, which
+      the optimizer fills with {!sort} without building them. *)
+
+  val sort : ctx -> Vec.t -> t -> unit
+
+  val index_nlj :
+    ctx -> Vec.t -> outer:t -> inner:int -> index:int -> edge:int -> int
+  (** The inner relation is the query's [inner]-th, probed through the
+      [index]-th of its table's indexes in schema order, along the
+      query's [edge]-th join. *)
+end
+
+module Build : sig
+  val block_nlj : ctx -> Vec.t -> outer:t -> inner:t -> t
+  val hash_join : ctx -> Vec.t -> build:t -> probe:t -> t
+  val merge_join : ctx -> Vec.t -> left:t -> right:t -> t
+  val sort : ctx -> Vec.t -> key:order -> t -> t
+
+  val index_nlj :
+    ctx -> Vec.t -> outer:t -> inner:int -> index:int -> edge:int -> t
+end
+
 (** {1 Inspection} *)
 
 val signature : t -> string
@@ -115,6 +176,3 @@ val cost : t -> Vec.t -> float
 
 val pp_explain : Format.formatter -> t -> unit
 (** Indented operator-tree rendering (an EXPLAIN facility). *)
-
-val constructions : int ref
-(** Instrumentation counter: plan nodes constructed since program start. *)
