@@ -62,6 +62,19 @@ let max_rel_residual usage observations =
       else Float.max acc (Float.abs (pred -. obs) /. Float.abs obs))
     0. observations
 
+(* Least squares leaves round-off where a true usage component is zero:
+   tiny negatives that every worst-case engine rejects as negative
+   usage.  Those within [1e-9] of the largest magnitude become [+0.0];
+   larger negatives are a fitting failure and stay visible. *)
+let round_off_tolerance = 1e-9
+
+let flush_round_off usage =
+  let scale = Array.fold_left (fun m x -> Float.max m (Float.abs x)) 0. usage in
+  Array.map
+    (fun x ->
+      if x < 0. && Float.abs x <= round_off_tolerance *. scale then 0. else x)
+    usage
+
 let estimate_usage ?(seed = 7) ?(oversample = 2) ?(retry = Fault.Retry.none)
     ?breaker ?prior ?(robust = false) ~narrow ~expand ~signature ~box () =
   Obs.with_span "probe.estimate" @@ fun () ->
@@ -101,6 +114,7 @@ let estimate_usage ?(seed = 7) ?(oversample = 2) ?(retry = Fault.Retry.none)
     match (if robust then Mat.irls c t else Mat.least_squares c t) with
     | exception Mat.Singular -> Error Fault.Singular_system
     | usage ->
+        let usage = flush_round_off usage in
         Ok
           {
             usage;
@@ -121,6 +135,7 @@ let estimate_usage ?(seed = 7) ?(oversample = 2) ?(retry = Fault.Retry.none)
         match Mat.ridge_least_squares ~ridge:1e-6 ~prior c t with
         | exception Mat.Singular -> Error Fault.Singular_system
         | usage ->
+            let usage = flush_round_off usage in
             Obs.add m_degraded 1;
             Ok
               {

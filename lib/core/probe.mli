@@ -34,6 +34,13 @@ type estimate = {
           (too few surviving observations for a full solve) *)
 }
 
+val flush_round_off : Vec.t -> Vec.t
+(** [flush_round_off u] replaces each negative component [x] of a
+    least-squares usage estimate with [+0.0] when
+    [|x| <= 1e-9 * max_i |u_i|]: the round-off the fit leaves where the
+    true component is zero.  Larger negatives are kept.  Both fitting
+    paths of {!estimate_usage} apply it. *)
+
 val estimate_usage :
   ?seed:int ->
   ?oversample:int ->

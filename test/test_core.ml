@@ -536,6 +536,43 @@ let test_narrow_discovery_equals_white_box () =
         (Float.abs (a.gtc -. b.gtc) <= 1e-6 *. Float.max 1. a.gtc))
     white.curve narrow.curve
 
+(* Least squares leaves round-off negatives where a usage component is
+   zero; the flush zeroes those within 1e-9 of the largest magnitude and
+   nothing else. *)
+let test_flush_round_off () =
+  let u = [| 100.; -1e-7; -1.1e-7; 0.; 3. |] in
+  let f = Probe.flush_round_off u in
+  Alcotest.(check bool) "at the threshold: +0.0" true
+    (Float.equal f.(1) 0. && not (Float.sign_bit f.(1)));
+  Alcotest.(check bool) "past the threshold: kept" true
+    (Float.equal f.(2) (-1.1e-7));
+  Alcotest.(check bool) "the rest unchanged" true
+    (Float.equal f.(0) 100. && Float.equal f.(3) 0. && Float.equal f.(4) 3.);
+  Alcotest.(check bool) "a large negative stays" true
+    (Float.equal (Probe.flush_round_off [| 1.; -0.5 |]).(1) (-0.5));
+  Alcotest.(check bool) "input untouched" true (Float.equal u.(1) (-1e-7))
+
+(* Discovery through the narrow interface on the per-table layout used to
+   raise "negative component" in 14 of 21 queries: least squares returned
+   round-off negatives that the worst-case engines reject. *)
+let test_narrow_discovery_per_table () =
+  List.iter
+    (fun name ->
+      let query = Qsens_tpch.Queries.find ~sf name in
+      let s =
+        Experiment.setup ~schema
+          ~policy:Qsens_catalog.Layout.Per_table_devices query
+      in
+      let r = Experiment.run ~narrow:true ~max_probes:1200 s in
+      List.iter
+        (fun (p : Candidates.plan) ->
+          Array.iter
+            (fun x ->
+              Alcotest.(check bool) (name ^ ": eff >= 0") true (x >= 0.))
+            p.eff)
+        r.candidates.plans)
+    [ "Q4"; "Q14" ]
+
 let test_narrow_oracle_equals_white_box () =
   let query = Qsens_tpch.Queries.find ~sf "Q19" in
   let s =
@@ -629,6 +666,9 @@ let () =
             test_narrow_oracle_equals_white_box;
           Alcotest.test_case "narrow discovery equals white box" `Slow
             test_narrow_discovery_equals_white_box;
+          Alcotest.test_case "round-off flush" `Quick test_flush_round_off;
+          Alcotest.test_case "narrow discovery per-table" `Quick
+            test_narrow_discovery_per_table;
         ] );
       ("projection", [ Alcotest.test_case "project/inject" `Quick test_projection ]);
       ("properties", props);
