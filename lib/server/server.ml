@@ -1034,16 +1034,55 @@ let save_configured t =
   | Some path -> (
       match save_snapshot t path with () -> () | exception Sys_error _ -> ())
 
+(* The longest request line served, in bytes; longer ones are drained
+   and answered with a typed error, so one hostile line cannot exhaust
+   memory. *)
+let max_line_bytes = 1 lsl 20
+
+type line = Line of string | Too_long | Eof
+
+(* [input_line] with a cap: a final line without its newline still
+   counts, as there. *)
+let read_line buf ic =
+  Buffer.clear buf;
+  let rec go ~over =
+    match input_char ic with
+    | exception End_of_file ->
+        if over then Too_long
+        else if Buffer.length buf = 0 then Eof
+        else Line (Buffer.contents buf)
+    | '\n' -> if over then Too_long else Line (Buffer.contents buf)
+    | c ->
+        if over || Buffer.length buf >= max_line_bytes then go ~over:true
+        else begin
+          Buffer.add_char buf c;
+          go ~over:false
+        end
+  in
+  go ~over:false
+
 let serve_channel t ic oc =
+  let buf = Buffer.create 4096 in
+  let reply response =
+    output_string oc response;
+    output_char oc '\n';
+    flush oc
+  in
   let rec loop () =
-    match input_line ic with
-    | exception End_of_file -> ()
-    | line ->
+    match read_line buf ic with
+    | Eof -> ()
+    | Too_long ->
+        reply
+          (Json.to_string
+             (error_response t ~id:Json.Null
+                (Malformed
+                   (Printf.sprintf "request line longer than %d bytes"
+                      max_line_bytes))));
+        loop ()
+    | Line line ->
         if String.length (String.trim line) = 0 then loop ()
         else begin
-          output_string oc (handle_line t line);
-          output_char oc '\n';
-          flush oc;
+          reply (handle_line t line);
           if not t.stopping then loop ()
         end
   in

@@ -87,9 +87,14 @@ val load_snapshot : t -> string -> bool
 (** Replace cache contents from a snapshot file; false (and no change)
     if the file is missing, unreadable or from another version. *)
 
+val max_line_bytes : int
+(** The longest request line served: 1 MiB, newline excluded.  A longer
+    line is read to its newline without being kept, and answered with a
+    [malformed] error naming the cap; serving then goes on. *)
+
 val run_stdio : t -> in_channel -> out_channel -> unit
 (** Serve until EOF or [shutdown]; writes the configured snapshot on the
-    way out. *)
+    way out.  A last line cut off by EOF is served like any other. *)
 
 val run_socket : t -> path:string -> unit
 (** Bind a Unix-domain socket at [path] (replacing any stale socket

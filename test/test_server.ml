@@ -231,6 +231,78 @@ let test_server_basics () =
   in
   Alcotest.(check bool) "sub-1 deltas rejected" false (bool_field bad_deltas "ok")
 
+(* Requests through [Server.run_stdio], over temporary files: the
+   response lines for [input]. *)
+let serve_stdio input =
+  let inp = Filename.temp_file "qsens_stdio" ".in" in
+  let out = Filename.temp_file "qsens_stdio" ".out" in
+  Out_channel.with_open_bin inp (fun oc -> output_string oc input);
+  let t = Server.create ~config:small_config () in
+  In_channel.with_open_bin inp (fun ic ->
+      Out_channel.with_open_bin out (fun oc -> Server.run_stdio t ic oc));
+  let lines =
+    In_channel.with_open_bin out In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> not (String.equal l ""))
+  in
+  Sys.remove inp;
+  Sys.remove out;
+  lines
+
+let error_kind line =
+  match Option.bind (response_field line "error") (Json.member "kind") with
+  | Some (Json.Str k) -> k
+  | _ -> ""
+
+let ping = "{\"op\":\"ping\"}"
+
+let test_line_too_long () =
+  let long = String.make (Server.max_line_bytes + 1) 'x' in
+  match serve_stdio (long ^ "\n" ^ ping ^ "\n") with
+  | [ err; pong ] ->
+      Alcotest.(check string) "typed error" "malformed" (error_kind err);
+      let message =
+        Option.bind (response_field err "error") (Json.member "message")
+        |> Fun.flip Option.bind Json.to_str
+        |> Option.value ~default:""
+      in
+      Alcotest.(check bool) "names the cap" true
+        (String.length message > 0
+        && List.mem (string_of_int Server.max_line_bytes)
+             (String.split_on_char ' ' message));
+      Alcotest.(check string) "then serves on" "pong" (str_field pong "op")
+  | lines -> Alcotest.failf "expected 2 responses, got %d" (List.length lines)
+
+let test_line_at_cap () =
+  (* A ping padded to exactly the cap is served. *)
+  let head = "{\"op\":\"ping\",\"pad\":\"" and tail = "\"}" in
+  let pad =
+    String.make
+      (Server.max_line_bytes - String.length head - String.length tail)
+      'x'
+  in
+  let line = head ^ pad ^ tail in
+  Alcotest.(check int) "exactly the cap" Server.max_line_bytes
+    (String.length line);
+  match serve_stdio (line ^ "\n") with
+  | [ pong ] -> Alcotest.(check string) "served" "pong" (str_field pong "op")
+  | lines -> Alcotest.failf "expected 1 response, got %d" (List.length lines)
+
+let test_eof_mid_line () =
+  (* The last line, cut off by EOF, is answered like any other; so is an
+     over-long one. *)
+  (match serve_stdio (ping ^ "\n{\"op\":\"pi") with
+  | [ pong; err ] ->
+      Alcotest.(check string) "first served" "pong" (str_field pong "op");
+      Alcotest.(check string) "truncated: malformed" "malformed"
+        (error_kind err)
+  | lines -> Alcotest.failf "expected 2 responses, got %d" (List.length lines));
+  match serve_stdio (String.make (Server.max_line_bytes + 7) 'x') with
+  | [ err ] ->
+      Alcotest.(check string) "over-long at EOF: malformed" "malformed"
+        (error_kind err)
+  | lines -> Alcotest.failf "expected 1 response, got %d" (List.length lines)
+
 let test_degradation_ladder () =
   let t = Server.create ~config:small_config () in
   let full = Server.handle_line t (wc_request ~budget:1_000_000_000 ()) in
@@ -576,6 +648,9 @@ let () =
       ( "protocol",
         [
           Alcotest.test_case "basics" `Quick test_server_basics;
+          Alcotest.test_case "line too long" `Quick test_line_too_long;
+          Alcotest.test_case "line at the cap" `Quick test_line_at_cap;
+          Alcotest.test_case "EOF mid-line" `Quick test_eof_mid_line;
           Alcotest.test_case "degradation ladder" `Quick
             test_degradation_ladder;
           Alcotest.test_case "select op" `Quick test_select_op;
