@@ -276,6 +276,29 @@ let test_k003_suppressible () =
        "(* qsens-lint: disable=K003 — one-time growth, amortized *)\n\
         let f n = Array.make n 0.\n")
 
+let test_k003_string_building () =
+  check_diags "a key string per candidate fires"
+    [ (2, "K003"); (2, "K003") ]
+    ~file:"lib/optimizer/optimizer.ml"
+    (hot "let key okey w = okey ^ string_of_int w\n");
+  check_diags "Printf.sprintf fires"
+    [ (2, "K003") ]
+    ~file:"lib/plan/node.ml"
+    (hot "let label w = Printf.sprintf \"#%d\" w\n");
+  check_diags "error messages are exempt" []
+    ~file:"lib/linalg/kernel.ml"
+    (hot
+       "let check n m =\n\
+       \  if n <> m then\n\
+       \    invalid_arg (Printf.sprintf \"dim %d, expected %d\" n m);\n\
+       \  if n < 0 then failwith (\"negative: \" ^ string_of_int n);\n\
+       \  if m < 0 then raise (Invalid_argument (\"m\" ^ \"<0\"))\n");
+  check_diags "disable comment silences" []
+    ~file:"lib/optimizer/optimizer.ml"
+    (hot
+       "(* qsens-lint: disable=K003 — one string per new slot *)\n\
+        let key okey w = okey ^ string_of_int w\n")
+
 (* ------------------------------------------------------------------ *)
 (* Suppression comments *)
 
@@ -435,6 +458,8 @@ let () =
             test_k003_scoped_to_hot_regions;
           Alcotest.test_case "suppressible with justification" `Quick
             test_k003_suppressible;
+          Alcotest.test_case "string building, error messages exempt" `Quick
+            test_k003_string_building;
         ] );
       ( "suppression",
         [

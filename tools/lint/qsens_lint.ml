@@ -23,11 +23,14 @@
      K001  [Vec.dot] in lib/core/worst_case.ml — the per-delta sweep
            must go through the Sweep/Kernel tables, never regress to
            per-plan dots
-     K003  allocation (array/list construction) inside a
+     K003  allocation (array/list construction, string building with
+           [^], [string_of_int] or [Printf.sprintf]) inside a
            [(* qsens-hot: begin *)] ... [(* qsens-hot: end *)] region —
            the zero-allocation kernels' steady state is a measured,
-           gated contract (BENCH_kernel.json), and a stray Array.make
-           or cons cell in those loops silently voids it
+           gated contract (BENCH_kernel.json), and a stray Array.make,
+           cons cell or key string in those loops silently voids it;
+           strings built for [invalid_arg], [failwith] or [raise] are
+           exempt, as the error path leaves the loop
 
    Rationale for each rule lives in DESIGN.md sections 8, 9, 11 and 16. *)
 
@@ -199,7 +202,13 @@ let k002_scope = k001_scope
    cold paths of these files (builders, validation) stay free. *)
 let k003_scope file =
   List.mem (normalize file)
-    [ "lib/core/sweep.ml"; "lib/linalg/kernel.ml"; "lib/geom/vertex_enum.ml" ]
+    [
+      "lib/core/sweep.ml";
+      "lib/linalg/kernel.ml";
+      "lib/geom/vertex_enum.ml";
+      "lib/plan/node.ml";
+      "lib/optimizer/optimizer.ml";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Longident helpers *)
@@ -320,6 +329,20 @@ let is_k003_alloc p =
            (fun seg -> String.length seg > 0 && seg.[0] >= 'A' && seg.[0] <= 'Z')
            modpath
   | _ -> false
+
+(* K003: functions that build a fresh string — a retention key or a
+   label assembled per iteration. *)
+let is_k003_string p =
+  List.mem p [ "^"; "Stdlib.^"; "string_of_int"; "Stdlib.string_of_int" ]
+  || ends_with_path p "Printf.sprintf"
+
+(* ... except as the message of an error that leaves the loop. *)
+let is_error_exit p =
+  List.mem p
+    [
+      "raise"; "invalid_arg"; "failwith"; "Stdlib.raise"; "Stdlib.invalid_arg";
+      "Stdlib.failwith";
+    ]
 
 let is_poly_compare p = p = "compare" || p = "Stdlib.compare"
 
@@ -496,6 +519,10 @@ let make_iter ?(hot = []) ~file ~emit () =
        [Hashtbl.fold ... |> List.sort cmp]. *)
     val mutable sort_depth = 0
 
+    (* > 0 while inside the arguments of [raise], [invalid_arg] or
+       [failwith]: K003 lets error messages build strings. *)
+    val mutable error_depth = 0
+
     method private check_ident e =
       match e.pexp_desc with
       | Pexp_ident { txt; _ } ->
@@ -539,7 +566,9 @@ let make_iter ?(hot = []) ~file ~emit () =
               "Vertex_enum.vertices in the worst-case dispatcher materializes \
                all 2^dim box vertices; go through the pruned search \
                (Sweep.Bnb / Vertex_enum.Bnb.search)";
-          if is_k003_alloc p then emit_k003 e.pexp_loc p
+          if is_k003_alloc p then emit_k003 e.pexp_loc p;
+          if is_k003_string p && error_depth = 0 then
+            emit_k003 e.pexp_loc (Printf.sprintf "string building (%s)" p)
       | _ -> ()
 
     method private sort_protects f args =
@@ -608,13 +637,19 @@ let make_iter ?(hot = []) ~file ~emit () =
                     a)
                 args
           | _ -> ());
+          (* K003 context: mark error-message subtrees. *)
+          let error_exit =
+            match head_path f with Some p -> is_error_exit p | None -> false
+          in
+          if error_exit then error_depth <- error_depth + 1;
           (* D001 context: mark sort-protected subtrees. *)
           if self#sort_protects f args then begin
             sort_depth <- sort_depth + 1;
             super#expression e;
             sort_depth <- sort_depth - 1
           end
-          else super#expression e
+          else super#expression e;
+          if error_exit then error_depth <- error_depth - 1
       | _ -> super#expression e
 
     method! value_binding vb =
