@@ -28,7 +28,24 @@ val optimize : ?max_bushy_side:int -> Env.t -> Query.t -> costs:Vec.t -> result
     cost under the resource cost vector [costs] (the estimated optimal
     plan of Section 3.3).  Raises [Invalid_argument] if [costs] does not
     match the layout's resource space, or [Failure] for queries with no
-    relations. *)
+    relations or more than 16.
+
+    {b Enumeration and ties.}  The result is a pure function of
+    [(env, q, costs)], bit for bit.  Subsets run in increasing bit-mask
+    order (bit [i] is the [i]-th relation of [q]).  Within a subset the
+    ordered splits run by decreasing left mask.  For each split, every
+    (left, right) variant pair is tried as a hash join (when a join edge
+    crosses the split) and a block nested-loop join.  Then merge joins
+    run, edge by edge.  Index nested-loop joins into each single
+    relation come after all splits.  A subset keeps, per retention key —
+    its interesting order, if any, and its output width — the first
+    cheapest candidate: a later one replaces it only if strictly
+    cheaper.  A finished subset's variants are enumerated in the
+    retention key's string order (["alias.column#width"], so ["#120"]
+    comes before ["#96"]).  The final plan is the first strictly
+    cheapest of {!Node.finalize_variants} over the full set's variants,
+    in that order.  Costs steer the search only through these
+    comparisons. *)
 
 val cost_of_plan : Node.t -> Vec.t -> float
 (** Re-cost an existing plan under different resource costs (the paper's
