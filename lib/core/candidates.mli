@@ -49,9 +49,12 @@ val discover :
   result
 (** [discover oracle ~box] runs the full pipeline.  [random_corners]
     (default 64) bounds the random corner probes; [vertex_budget]
-    (default 200_000) bounds the hyperplane subsets examined per region
-    in the verification phase — when exceeded, verification downgrades to
-    sampling.
+    (default 200_000) bounds the hyperplane subsets per region in the
+    verification phase — when exceeded, verification downgrades to
+    sampling.  The budget counts all [C(constraints, dim)] subsets,
+    including those {!Qsens_geom.Vertex_enum.vertices} skips as provably
+    singular, so whether a region aborts depends only on its size; the
+    skipping changes no vertex, probe or plan.
 
     With [?pool], each verification round enumerates the
     region-of-influence vertices of all known plans concurrently; oracle

@@ -23,15 +23,34 @@ val vertices :
   Vec.t list
 (** [vertices hs] enumerates the vertices of [{ x | h . x <= o for all
     (h, o) in hs }].  Duplicate vertices (within [eps], default [1e-7],
-    infinity norm) are merged via a grid hash at [eps] resolution.
-    Raises [Too_large] if [C(|hs|, n) > max_subsets]
-    (default [200_000]).
+    infinity norm) are merged greedily in subset rank order: a solution
+    is dropped when a kept vertex lies within [eps] of it and in one of
+    the neighbouring cells of the [eps]-grid.  Raises [Too_large] if
+    [C(|hs|, n) > max_subsets] (default [200_000]); the budget counts
+    every subset, including those the skip rules below never solve.
+    Raises [Invalid_argument] when the normals' dimensions differ.
+
+    Each subset's vertex is the solution of {!Mat.solve_in_place}
+    followed by a feasibility scan of every constraint.  A subset is
+    skipped without solving when it provably makes that solve raise
+    {!Mat.Singular}: some column is an exact zero in all its rows, or
+    two of its rows are equal or opposite (the [lo]/[hi] box facets of
+    one coordinate, or the switchovers of duplicated plans).  The rules
+    apply only when every normal entry is finite and below
+    [2^(1022 - n)], so no elimination step can overflow (DESIGN.md
+    section 18).  Skipping therefore never changes the result: it is
+    the vertex list, in the same order and bit for bit, that solving
+    every subset yields.  The counters [vertex_enum.subsets],
+    [.skipped], [.solved] and [.vertices] are added once per call.
+    The loop over subsets allocates nothing per subset; only a
+    feasible solution is copied out.
 
     With [?pool], the rank-ordered space of [n]-subsets is partitioned
     into contiguous chunks solved concurrently (each domain starts its
-    own combination stream via {!nth_subset}); chunk outputs are merged
-    in rank order, so the result is {e identical} — same vertices, same
-    order — to the sequential run. *)
+    own combination stream via {!nth_subset}, with its own scratch);
+    chunk outputs are merged in rank order, so the result is
+    {e identical} — same vertices, same order — to the sequential
+    run. *)
 
 (** {2 Branch-and-bound vertex search}
 
@@ -174,7 +193,8 @@ module Bnb : sig
 end
 
 val count_subsets : int -> int -> int
-(** [count_subsets n k] is [C(n, k)], saturating at [max_int]. *)
+(** [count_subsets n k] is [C(n, k)] exactly when it is at most
+    [max_int], and [max_int] otherwise; [0] unless [0 <= k <= n]. *)
 
 val nth_subset : int -> int -> int -> int array
 (** [nth_subset n k rank] is the [rank]-th [k]-subset of [0 .. n-1] in

@@ -55,49 +55,66 @@ let equal ?(eps = 1e-9) m n =
 
 exception Singular
 
-(* Gaussian elimination with partial pivoting, reducing [aug] (a copy of
-   the system matrix augmented with one or more right-hand-side columns)
-   in place.  Returns the permutation sign for determinant computation. *)
-let forward_eliminate aug n ncols =
-  let sign = ref 1. in
+(* Gaussian elimination with partial pivoting, reducing the [n] leading
+   rows of the row-major buffer [a] in place — the system matrix
+   augmented with one or more right-hand-side columns, [ncols] entries
+   per row.  Returns the number of row swaps, whose parity is the
+   permutation sign for determinant computation.  Returns an int, not
+   the sign as a float, so the call allocates nothing: it is the
+   elimination inside every solve, the vertex enumerator's per-subset
+   one included. *)
+(* qsens-hot: begin *)
+let forward_eliminate (a : float array) n ncols =
+  let swaps = ref 0 in
   for k = 0 to n - 1 do
+    let rk = k * ncols in
     let piv = ref k in
     for i = k + 1 to n - 1 do
-      if Float.abs (get aug i k) > Float.abs (get aug !piv k) then piv := i
+      if Float.abs a.((i * ncols) + k) > Float.abs a.((!piv * ncols) + k) then
+        piv := i
     done;
-    if Float.abs (get aug !piv k) < 1e-12 then raise Singular;
+    let rp = !piv * ncols in
+    if Float.abs a.(rp + k) < 1e-12 then raise Singular;
     if !piv <> k then begin
-      sign := -. !sign;
+      incr swaps;
       for j = 0 to ncols - 1 do
-        let t = get aug k j in
-        set aug k j (get aug !piv j);
-        set aug !piv j t
+        let t = a.(rk + j) in
+        a.(rk + j) <- a.(rp + j);
+        a.(rp + j) <- t
       done
     end;
     for i = k + 1 to n - 1 do
-      let f = get aug i k /. get aug k k in
+      let ri = i * ncols in
+      let f = a.(ri + k) /. a.(rk + k) in
       if not (Float.equal f 0.) then
         for j = k to ncols - 1 do
-          set aug i j (get aug i j -. (f *. get aug k j))
+          a.(ri + j) <- a.(ri + j) -. (f *. a.(rk + j))
         done
     done
   done;
-  !sign
+  !swaps
+
+let solve_in_place n aug x =
+  if n < 0 || Array.length aug <> n * (n + 1) || Array.length x <> n then
+    invalid_arg "Mat.solve_in_place: buffer size mismatch";
+  ignore (forward_eliminate aug n (n + 1));
+  let nc = n + 1 in
+  for i = n - 1 downto 0 do
+    let acc = ref aug.((i * nc) + n) in
+    for j = i + 1 to n - 1 do
+      acc := !acc -. (aug.((i * nc) + j) *. x.(j))
+    done;
+    x.(i) <- !acc /. aug.((i * nc) + i)
+  done
+(* qsens-hot: end *)
 
 let solve m b =
   let n = m.nr in
   if m.nc <> n then invalid_arg "Mat.solve: matrix not square";
   if Array.length b <> n then invalid_arg "Mat.solve: rhs dimension mismatch";
   let aug = init n (n + 1) (fun i j -> if j = n then b.(i) else get m i j) in
-  ignore (forward_eliminate aug n (n + 1));
   let x = Array.make n 0. in
-  for i = n - 1 downto 0 do
-    let acc = ref (get aug i n) in
-    for j = i + 1 to n - 1 do
-      acc := !acc -. (get aug i j *. x.(j))
-    done;
-    x.(i) <- !acc /. get aug i i
-  done;
+  solve_in_place n aug.a x;
   x
 
 let inverse m =
@@ -107,7 +124,7 @@ let inverse m =
     init n (2 * n) (fun i j ->
         if j < n then get m i j else if j - n = i then 1. else 0.)
   in
-  ignore (forward_eliminate aug n (2 * n));
+  ignore (forward_eliminate aug.a n (2 * n));
   (* Back substitution on each identity column. *)
   let inv = make n n 0. in
   for c = 0 to n - 1 do
@@ -125,9 +142,9 @@ let determinant m =
   let n = m.nr in
   if m.nc <> n then invalid_arg "Mat.determinant: matrix not square";
   let aug = init n n (fun i j -> get m i j) in
-  match forward_eliminate aug n n with
-  | sign ->
-      let d = ref sign in
+  match forward_eliminate aug.a n n with
+  | swaps ->
+      let d = ref (if swaps land 1 = 0 then 1. else -1.) in
       for i = 0 to n - 1 do
         d := !d *. get aug i i
       done;

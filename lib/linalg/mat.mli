@@ -54,6 +54,18 @@ val solve : t -> Vec.t -> Vec.t
     with partial pivoting.  Raises [Singular] when no unique solution
     exists.  This is the elimination routine referenced in Section 6.1.1. *)
 
+val solve_in_place : int -> float array -> Vec.t -> unit
+(** [solve_in_place n aug x] solves the [n x n] system held in [aug]
+    together with its right-hand side: row-major, [n] rows of [n + 1]
+    entries [a_i0 .. a_i(n-1) b_i].  Writes the solution into [x]
+    (length [n]) and destroys [aug].  {!solve} is a thin wrapper over
+    it, so the two perform the same floating-point operations in the
+    same order — pivot search, singular test, row swaps, updates, back
+    substitution — and agree bit for bit.  Allocates nothing: a caller
+    solving many systems refills one buffer pair.  Raises [Singular]
+    as {!solve} does, leaving [aug] partly reduced, and
+    [Invalid_argument] when the buffer lengths do not match [n]. *)
+
 val inverse : t -> t
 (** Matrix inverse via Gaussian elimination.  Raises [Singular]. *)
 

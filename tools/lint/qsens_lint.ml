@@ -205,6 +205,7 @@ let k003_scope file =
     [
       "lib/core/sweep.ml";
       "lib/linalg/kernel.ml";
+      "lib/linalg/mat.ml";
       "lib/geom/vertex_enum.ml";
       "lib/plan/node.ml";
       "lib/optimizer/optimizer.ml";
