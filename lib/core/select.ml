@@ -104,71 +104,49 @@ let regrets_fractional ?pool ~plans ~center delta =
     plans
 
 let curve_exhaustive ?pool ~plans ~center ~deltas () =
-  (* One subset-sum build for the whole candidate set: the per-plan
-     tables, kept set and degenerate flags depend only on (plans,
-     center), so candidate [i]'s sweep is a [rebind] of the first —
-     bit-identical to a fresh build with that initial at a fraction of
-     the cost (only the numerator side is recomputed). *)
+  (* One subset-sum build for the whole candidate set, then every
+     candidate scored against one per-pattern minimum table per delta
+     (Sweep.regret_grid) — bit-identical to a per-candidate sweep. *)
   let base = Sweep.build ?pool ~plans ~initial:plans.(0) ~center () in
-  let sweeps =
-    Array.mapi
-      (fun i initial -> if i = 0 then base else Sweep.rebind base ~initial)
-      plans
-  in
   let darr = Array.of_list deltas in
   let nd = Array.length darr in
-  let np = Array.length plans in
-  let regrets = Array.init nd (fun _ -> Array.make np nan) in
-  let gtc = Float.Array.make nd nan in
-  let patterns = Array.make nd (-1) in
-  let scratch = Sweep.Scratch.create () in
-  Array.iteri
-    (fun i sw ->
-      (* Whole-grid incremental eval per candidate — bit-identical to
-         per-point [Sweep.eval], zero minor words per point once the
-         scratch is warm. *)
-      Sweep.eval_grid ~scratch sw ~deltas:darr ~gtc ~patterns;
-      for di = 0 to nd - 1 do
-        regrets.(di).(i) <- Float.Array.get gtc di
-      done)
-    sweeps;
+  let regrets = Array.init nd (fun _ -> Array.make (Array.length plans) nan) in
+  Sweep.regret_grid base ~initials:plans ~deltas:darr ~out:regrets;
   List.init nd (fun di -> (darr.(di), regrets.(di), 0))
 
 let curve_bnb ?pool ?(node_budget = Limits.default_bnb_node_budget) ~plans
     ~center ~deltas () =
-  (* As [curve_exhaustive]: one build, then a numerator-only [rebind]
-     per further candidate. *)
+  (* One build, then a numerator-only [rebind] per further candidate.
+     Candidate-outer, so the node-pool scratch binds each candidate's
+     specs once for the whole delta grid. *)
   let base = Sweep.Bnb.build ~plans ~initial:plans.(0) ~center () in
-  let searches =
-    Array.mapi
-      (fun i initial ->
-        if i = 0 then base else Sweep.Bnb.rebind base ~initial)
-      plans
-  in
+  let darr = Array.of_list deltas in
+  let nd = Array.length darr in
+  let regrets = Array.init nd (fun _ -> Array.make (Array.length plans) nan) in
+  let fallbacks = Array.make nd 0 in
   let scratch = Sweep.Bnb.Scratch.create () in
-  List.map
-    (fun delta ->
-      let fallbacks = ref 0 in
-      let regret =
-        Array.mapi
-          (fun i bnb ->
-            (* A budgeted search runs sequentially, so whether a cell
-               trips is a pure function of (budget, plans, delta) — the
-               fallback set is deterministic for any pool size; the
-               node-pool scratch preserves the exact trip points. *)
-            let budget = Budget.create node_budget in
-            match Sweep.Bnb.eval ?pool ~budget ~scratch bnb ~delta with
+  Array.iteri
+    (fun i initial ->
+      let bnb = if i = 0 then base else Sweep.Bnb.rebind base ~initial in
+      Array.iteri
+        (fun di delta ->
+          (* A budgeted search runs sequentially, so whether a cell
+             trips is a pure function of (budget, plans, delta) — the
+             fallback set is deterministic for any pool size; the
+             node-pool scratch preserves the exact trip points. *)
+          let budget = Budget.create node_budget in
+          regrets.(di).(i) <-
+            (match Sweep.Bnb.eval ?pool ~budget ~scratch bnb ~delta with
             | gtc, _ -> gtc
             | exception Budget.Exhausted _ ->
-                incr fallbacks;
+                fallbacks.(di) <- fallbacks.(di) + 1;
                 let box = Box.around center ~delta in
                 fst
-                  (Framework.worst_case_gtc_fractional ~plans ~a:plans.(i) box))
-          searches
-      in
-      Obs.add m_budget_fallbacks !fallbacks;
-      (delta, regret, !fallbacks))
-    deltas
+                  (Framework.worst_case_gtc_fractional ~plans ~a:initial box)))
+        darr)
+    plans;
+  Obs.add m_budget_fallbacks (Array.fold_left ( + ) 0 fallbacks);
+  List.init nd (fun di -> (darr.(di), regrets.(di), fallbacks.(di)))
 
 let describe_path ~cells ~node_budget ~fallbacks =
   if fallbacks = 0 then "branch-and-bound"

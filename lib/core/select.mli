@@ -21,9 +21,9 @@
     + {b minimax regret} (PARQO-style penalty) — argmin over candidates
       [p] of the worst-case GTC of [p] against the whole candidate set
       over the box, i.e. [max over box of (U_p . C) / (min_q U_q . C)].
-      Each candidate's regret reuses the worst-case engine with
-      [initial := p], so the classic candidate's column reproduces
-      {!Worst_case.curve} bit-for-bit.
+      Each candidate's regret is bit-identical to the worst-case engine
+      run with [initial := p], so the classic candidate's column
+      reproduces {!Worst_case.curve} bit-for-bit.
 
     {2 Tier dispatch and determinism}
 
@@ -33,11 +33,16 @@
     {!Limits.bnb_max_dim} (a search that trips its per-(candidate,
     delta) node budget degrades to the linear-fractional program for
     that cell alone, counted in [fallbacks]), and the linear-fractional
-    program beyond.  All argmins scan in ascending candidate order with
-    strict improvement and skip NaN scores, so selections are
-    bit-identical across pool sizes and across the exhaustive/B&B tiers
-    wherever both are defined — the qcheck property the test suite
-    drives.  At [delta = 1] the box is a point, every regret is the cost
+    program beyond.  The exhaustive tier is one table build for the
+    whole candidate set and one {!Sweep.regret_grid} call, which scores
+    every candidate against a per-pattern minimum table per delta
+    instead of sweeping once per candidate (DESIGN.md section 19); the
+    branch-and-bound tier is one build, a {!Sweep.Bnb.rebind} per
+    candidate, and a candidate-outer loop over one node-pool scratch.
+    All argmins scan in ascending candidate order with strict
+    improvement and skip NaN scores, so selections are bit-identical
+    across pool sizes and across the exhaustive/B&B tiers wherever both
+    are defined — the qcheck property the test suite drives.  At [delta = 1] the box is a point, every regret is the cost
     ratio at the estimate, and all three rules return the classic
     index. *)
 
@@ -131,6 +136,6 @@ val point_of_regrets :
   fallbacks:int ->
   point
 (** Assemble a selection from an externally computed regret column —
-    the service's tiers evaluate regrets through their own memoized
-    sweeps and must agree bit-for-bit with {!curve}; routing both
+    the service's tiers evaluate regrets from their own memoized base
+    tables and must agree bit-for-bit with {!curve}; routing both
     through this single argmin keeps the tie-breaking in one place. *)

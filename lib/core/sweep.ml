@@ -187,26 +187,6 @@ let build ?pool ?(prune = true) ~plans ~initial ~center () =
     initial_zero;
   }
 
-(* Rebinding shares everything delta- and initial-independent — the
-   per-plan subset-sum tables, the dominance-pruned kept set, the
-   degenerate flags (all functions of [plans] and [center] alone) — and
-   recomputes only the numerator side.  The result is bit-identical to a
-   fresh [build] with the same [initial]: the shared tables were computed
-   by exactly the code a rebuild would run.  Minimax-regret selection
-   leans on this to evaluate N candidates from one O(plans * 2^dim)
-   build instead of N of them. *)
-let rebind t ~initial =
-  if Vec.dim initial <> t.dim then
-    invalid_arg "Sweep.rebind: dimension mismatch";
-  Array.iter
-    (fun x -> if x < 0. then invalid_arg "Sweep.rebind: negative component")
-    initial;
-  let num_weights = Vec.map2 ( *. ) initial t.center in
-  let initial_zero = Float.equal (ascending_sum num_weights) 0. in
-  let num_sums = FA.make t.nv 0. in
-  subset_sums num_weights t.dim num_sums 0;
-  { t with num_sums; initial_zero }
-
 let eval ?budget t ~delta =
   if delta < 1. then invalid_arg "Sweep.eval: delta must be >= 1";
   Obs.add m_evals 1;
@@ -272,14 +252,77 @@ let eval ?budget t ~delta =
      (enforced by the bench kernel gate in CI). *)
 
 module Scratch = struct
-  type t = { mutable num : floatarray }
+  type t = {
+    mutable num : floatarray;
+        (* eval_grid: hoisted numerators; regret_grid: one numerator
+           subset-sum row per candidate *)
+    mutable den_min : floatarray;  (* regret_grid: per-pattern minimum *)
+    mutable den_max : floatarray;  (* regret_grid: per-pattern maximum *)
+    mutable weights : float array;  (* regret_grid: one candidate's weights *)
+  }
 
-  let create () = { num = FA.create 0 }
+  let create () =
+    {
+      num = FA.create 0;
+      den_min = FA.create 0;
+      den_max = FA.create 0;
+      weights = [||];
+    }
 
   let ensure t n =
     if FA.length t.num < n then t.num <- FA.create n;
     t.num
+
+  let ensure_regret t ~dim ~nv ~rows =
+    ignore (ensure t (rows * nv) : floatarray);
+    if FA.length t.den_min < nv then begin
+      t.den_min <- FA.create nv;
+      t.den_max <- FA.create nv
+    end;
+    if Array.length t.weights < dim then t.weights <- Array.make dim 0.
 end
+
+(* Division filter: the scans below are division-throughput-bound, yet
+   almost no (plan, pattern) pair improves on the incumbent.  With num,
+   den >= 0, [fl (num /. den) > best] implies [num > best * den] over
+   the reals, and [thr = fl (best * (1 - 2^-52))] undershoots [best] by
+   more than one rounding, so [fl (thr *. den) < best * den < num]
+   whenever that product rounds with its relative error bound.  Hence
+   testing [not (num <= thr *. den)] (a multiply) passes every pair
+   whose exact ratio beats the incumbent; only those few pay the
+   division, and the update itself still compares the bit-exact
+   [num /. den], preserving [eval]'s value, argmax, and tie order.  The
+   negated [<=] keeps NaN products conservative: [thr = -inf] (initial)
+   or [thr = inf] (den = 0 incumbent) times [den = 0] is NaN, which
+   must fall through to the exact division — a degenerate plan's
+   [num /. 0. = inf] ratio is a real improvement.
+
+   The bound fails in two corners, both decided once per delta from
+   the numerator table's extremes: a numerator that overflowed to +inf
+   ([thr *. den] may overflow with it, and [inf <= inf] would skip a
+   ratio of +inf), and a positive subnormal numerator ([thr *. den]
+   then rounds by up to half a subnormal ulp, past its relative bound).
+   Every numerator vertex value lies in [[fl (w_min * inv), vertex_value
+   total total]] or is 0, with [w_min] the smallest positive weight —
+   single-bit entries of the subset-sum table are the weights
+   themselves, and rounding is monotone — so when either end leaves the
+   normal range the scan divides every pair instead.  Takes
+   [deltas.(di)] rather than the float itself: a float argument to a
+   call that is not inlined is boxed, which the zero-allocation contract
+   forbids. *)
+let filter_exact deltas di sums off m =
+  let delta = Array.unsafe_get deltas di in
+  let inv = 1. /. delta in
+  let total = FA.unsafe_get sums (off + (1 lsl m) - 1) in
+  let w_min = ref infinity in
+  for i = 0 to m - 1 do
+    let w = FA.unsafe_get sums (off + (1 lsl i)) in
+    if w > 0. && w < !w_min then w_min := w
+  done;
+  vertex_value ~delta ~inv total total < infinity
+  && !w_min *. inv >= Float.min_float
+
+let shrink = 0x1.fffffffffffffp-1
 
 let eval_grid ?scratch t ~deltas ~gtc ~patterns =
   let nd = Array.length deltas in
@@ -313,20 +356,8 @@ let eval_grid ?scratch t ~deltas ~gtc ~patterns =
         ((delta *. FA.unsafe_get num_sums k)
         +. (FA.unsafe_get num_sums (mask lxor k) *. inv))
     done;
+    let filter = filter_exact deltas di num_sums 0 t.dim in
     let best = ref neg_infinity and best_pat = ref (-1) and degen = ref 0 in
-    (* Division filter: the scan is division-throughput-bound, yet almost
-       no (plan, pattern) pair improves on the incumbent.  With num, den
-       >= 0, [fl (num /. den) > best] implies [num > best * den] over the
-       reals, and [thr = fl (best * (1 - 2^-52))] undershoots [best] by
-       more than one rounding, so [fl (thr *. den) < best * den < num].
-       Hence testing [not (num <= thr *. den)] (a multiply) passes every
-       pair whose exact ratio beats the incumbent; only those few pay the
-       division, and the update itself still compares the bit-exact
-       [num /. den], preserving [eval]'s value, argmax, and tie order.
-       The negated [<=] keeps NaN products conservative: [thr = -inf]
-       (initial) or [thr = inf] (den = 0 incumbent) times [den = 0] is
-       NaN, which must fall through to the exact division — a degenerate
-       plan's [num /. 0. = inf] ratio is a real improvement. *)
     let thr = ref neg_infinity in
     for kp = 0 to nkept - 1 do
       let p = Array.unsafe_get kept kp in
@@ -344,7 +375,7 @@ let eval_grid ?scratch t ~deltas ~gtc ~patterns =
             if r > !best then begin
               best := r;
               best_pat := k;
-              thr := r *. 0x1.fffffffffffffp-1
+              if filter then thr := r *. shrink
             end
           end
         done
@@ -356,6 +387,145 @@ let eval_grid ?scratch t ~deltas ~gtc ~patterns =
        else if !degen > 0 then nan
        else !best);
     Array.unsafe_set patterns di !best_pat
+  done
+(* qsens-hot: end *)
+
+(* ------------------------------------------------------------------ *)
+(* Shared-denominator regret grid (DESIGN.md section 19).  Candidate
+   [c]'s regret at [delta] is [eval] of the sweep built with [initial :=
+   initials.(c)]: the max over kept plans [q] and patterns [k] of
+   [fl (num_c(k) / den_q(k))], NaN ratios skipped.  For [num >= 0],
+   correctly rounded division is non-increasing in the divisor, so the
+   max over [q] is [fl (num_c(k) / min_q den_q(k))] — one per-pattern
+   minimum table per delta serves every candidate.  Three cases the
+   minimum alone would get wrong:
+
+   - [num = 0]: [0 / den] is 0 for a positive divisor and NaN for a zero
+     one, so the max is 0 iff some plan's cost is positive there —
+     [0 /. den_max(k)] gives exactly that (NaN when the max is 0).
+   - [num = +inf]: [inf / den] is NaN only for [den = +inf], so the max
+     is NaN iff every plan's cost is infinite — [inf /. den_min(k)].
+   - NaN denominators never win [eval]'s argmax, so the minimum skips
+     them; a pattern with no other plan keeps its NaN minimum.
+
+   Degenerate plans (all weights zero) cost 0 or NaN at every vertex, so
+   they never raise [den_max]; skipping them for an all-zero candidate
+   — whose numerators are all 0 or all NaN — therefore changes only the
+   NaN-versus-[-inf] answer of an empty scan, which is decided from
+   counts as [eval] decides it.  No witness pattern: the minimum forgets
+   which plan attained it, and [eval]'s tie order is plan-major. *)
+
+let regret_grid ?budget ?scratch t ~initials ~deltas ~out =
+  let nd = Array.length deltas and ncand = Array.length initials in
+  let m = t.dim and nv = t.nv and mask = t.mask in
+  if Array.length out < nd then
+    invalid_arg "Sweep.regret_grid: out has fewer rows than deltas";
+  for di = 0 to nd - 1 do
+    if Array.unsafe_get deltas di < 1. then
+      invalid_arg "Sweep.regret_grid: delta must be >= 1";
+    if Array.length (Array.unsafe_get out di) < ncand then
+      invalid_arg "Sweep.regret_grid: out row shorter than initials"
+  done;
+  for c = 0 to ncand - 1 do
+    let u = Array.unsafe_get initials c in
+    if Array.length u <> m then
+      invalid_arg "Sweep.regret_grid: dimension mismatch";
+    for i = 0 to m - 1 do
+      if Array.unsafe_get u i < 0. then
+        invalid_arg "Sweep.regret_grid: negative component"
+    done
+  done;
+  let scratch = match scratch with Some s -> s | None -> Scratch.create () in
+  Scratch.ensure_regret scratch ~dim:m ~nv ~rows:ncand;
+  let nums = scratch.Scratch.num and w = scratch.Scratch.weights in
+  let den_min = scratch.Scratch.den_min and den_max = scratch.Scratch.den_max in
+  let center = t.center and sums = t.sums in
+  let kept = t.kept and nkept = Array.length t.kept in
+  (* qsens-hot: begin *)
+  (* Numerator side, as a rebuild with each candidate as the initial
+     would compute it: weights [u_i * c_i], then the subset sums, whose
+     full-pattern entry is the ascending total [build] tests for zero. *)
+  let ndegen = ref 0 in
+  for kp = 0 to nkept - 1 do
+    if Array.unsafe_get t.degenerate (Array.unsafe_get kept kp) then incr ndegen
+  done;
+  let live = ref 0 in
+  for c = 0 to ncand - 1 do
+    let u = Array.unsafe_get initials c in
+    for i = 0 to m - 1 do
+      Array.unsafe_set w i (Array.unsafe_get u i *. Array.unsafe_get center i)
+    done;
+    subset_sums w m nums (c * nv);
+    live :=
+      !live + nkept
+      - (if Float.equal (FA.unsafe_get nums ((c * nv) + mask)) 0. then !ndegen
+         else 0)
+  done;
+  (* What per-candidate [eval]s would charge — one unit per vertex of
+     every plan row they scan — as one up-front checkpoint. *)
+  let charge = ref 0 in
+  for di = 0 to nd - 1 do
+    let vertices =
+      if Float.equal (Array.unsafe_get deltas di) 1. then 1 else nv
+    in
+    charge := !charge + (vertices * !live)
+  done;
+  Budget.spend_opt budget ~who:"Sweep.regret_grid" !charge;
+  for di = 0 to nd - 1 do
+    let delta = Array.unsafe_get deltas di in
+    let inv = 1. /. delta in
+    let pattern_hi = if Float.equal delta 1. then 0 else nv - 1 in
+    for k = 0 to pattern_hi do
+      FA.unsafe_set den_min k nan;
+      FA.unsafe_set den_max k 0.
+    done;
+    for kp = 0 to nkept - 1 do
+      let off = kp * nv in
+      for k = 0 to pattern_hi do
+        let den =
+          (delta *. FA.unsafe_get sums (off + k))
+          +. (FA.unsafe_get sums (off + (mask lxor k)) *. inv)
+        in
+        let lo = FA.unsafe_get den_min k in
+        if den < lo || Float.is_nan lo then FA.unsafe_set den_min k den;
+        if den > FA.unsafe_get den_max k then FA.unsafe_set den_max k den
+      done
+    done;
+    let row = Array.unsafe_get out di in
+    let degen = ref 0 in
+    for c = 0 to ncand - 1 do
+      let off = c * nv in
+      let skipped =
+        if Float.equal (FA.unsafe_get nums (off + mask)) 0. then !ndegen else 0
+      in
+      degen := !degen + skipped;
+      let filter = filter_exact deltas di nums off m in
+      let best = ref neg_infinity and thr = ref neg_infinity in
+      for k = 0 to pattern_hi do
+        let num =
+          (delta *. FA.unsafe_get nums (off + k))
+          +. (FA.unsafe_get nums (off + (mask lxor k)) *. inv)
+        in
+        if not (num <= !thr *. FA.unsafe_get den_min k) then begin
+          let r =
+            if Float.equal num 0. then num /. FA.unsafe_get den_max k
+            else num /. FA.unsafe_get den_min k
+          in
+          if r > !best then begin
+            best := r;
+            if filter then thr := r *. shrink
+          end
+        end
+      done;
+      (* Every scanned ratio is NaN or >= 0, so [-inf] means none
+         counted: [eval]'s empty-argmax answer. *)
+      Array.unsafe_set row c
+        (if !best > neg_infinity then !best
+         else if skipped > 0 then nan
+         else neg_infinity)
+    done;
+    Obs.add m_evals ncand;
+    Obs.add m_degenerate_ratios !degen
   done
 (* qsens-hot: end *)
 
@@ -488,9 +658,9 @@ module Bnb = struct
       initial_zero;
     }
 
-  (* Same sharing argument as the exhaustive [rebind]: the packed
+  (* Rebinding shares everything initial-independent: the packed
      weights, their prefix sums, the kept set and the degenerate flags
-     depend only on [plans] and [center]; the numerator side — and the
+     depend only on [plans] and [center].  The numerator side — and the
      bitwise-comparison tables [eq]/[pinned]/[identical], which compare
      against the initial's weights — is recomputed exactly as [build]
      would, so the result is bit-identical to a fresh build. *)

@@ -63,16 +63,6 @@ val build :
     componentwise positive [center], and nonnegative [plans]/[initial];
     raises [Invalid_argument] otherwise. *)
 
-val rebind : t -> initial:Vec.t -> t
-(** [rebind t ~initial] is a sweep for the same plans, center and box
-    family but a different initial plan — sharing the per-plan
-    subset-sum tables, kept set and degenerate flags (which depend only
-    on plans and center) and recomputing just the numerator side.
-    Bit-identical to [build ~plans ~initial ~center ()] at a fraction of
-    its cost; minimax-regret selection evaluates every candidate from
-    one build this way.  Raises [Invalid_argument] on dimension mismatch
-    or a negative component. *)
-
 val bytes : t -> int
 (** Resident size in bytes, computed from the table dimensions (8 bytes
     per unboxed entry plus per-field overhead) — the honest [size_of]
@@ -107,9 +97,10 @@ val vertex_value : delta:float -> inv:float -> float -> float -> float
     overhead dominates the unboxed grid scan.)  Exposed so tests and
     callers reproduce the kernel's exact bits. *)
 
-(** Reusable buffer for {!eval_grid}'s hoisted numerator table; grows to
-    the largest pattern count ever evaluated, then is reused.
-    Single-owner mutable state — never share one across domains. *)
+(** Reusable buffers for {!eval_grid}'s hoisted numerator table and
+    {!regret_grid}'s numerator and per-pattern minimum tables; they grow
+    to the largest grid ever evaluated, then are reused.  Single-owner
+    mutable state — never share one across domains. *)
 module Scratch : sig
   type t
 
@@ -135,6 +126,36 @@ val eval_grid :
     degradation ladder uses per-point {!eval}.  Raises
     [Invalid_argument] if a delta is below 1 or a buffer is shorter
     than [deltas]. *)
+
+val regret_grid :
+  ?budget:Qsens_budget.Budget.t ->
+  ?scratch:Scratch.t ->
+  t ->
+  initials:Vec.t array ->
+  deltas:float array ->
+  out:float array array ->
+  unit
+(** [regret_grid t ~initials ~deltas ~out] writes into [out.(i).(c)]
+    the worst-case GTC of [initials.(c)] against [t]'s plans at
+    [deltas.(i)] — bit-identical to [fst (eval t' ~delta)] for [t'] the
+    sweep built from the same plans and center with [initial :=
+    initials.(c)], including the [delta = 1] shortcut and the NaN and
+    [-inf] answers of an empty argmax — and counts [sweep.evals] and
+    [wc.degenerate_ratios] as those evals would.  Minimax-regret
+    selection scores every candidate this way (DESIGN.md section 19):
+    per delta the kept plans' vertex costs are reduced once to a
+    per-pattern minimum, and each candidate's numerators are divided by
+    it — O((plans + candidates) * 2^dim) per delta instead of
+    O(plans * candidates * 2^dim).  No witness patterns: the minimum
+    does not say which plan attained it.
+
+    With [?budget], the units those evals would charge are charged in
+    one checkpoint before any scan, so the budget trips exactly when
+    their total exceeds the allowance.  With a warm [?scratch] the call
+    allocates no minor-heap words.  Raises [Invalid_argument] if a
+    delta is below 1, an initial has the wrong dimension or a negative
+    component, or [out] has fewer than [deltas] rows or a row shorter
+    than [initials]. *)
 
 (** {2 Introspection} (golden tests, diagnostics)
 
@@ -195,10 +216,13 @@ module Bnb : sig
       gate at {!max_dim}. *)
 
   val rebind : t -> initial:Vec.t -> t
-  (** As the exhaustive [rebind]: same plans, center and prefix-sum
-      tables, different initial — bit-identical to a fresh {!build}
-      with that initial.  Recomputes the numerator prefix sums and the
-      bitwise [eq]/[pinned]/[identical] tables only. *)
+  (** [rebind t ~initial] is a search for the same plans, center and
+      prefix-sum tables but a different initial plan — bit-identical to
+      a fresh {!build} with that initial.  Recomputes the numerator
+      prefix sums and the bitwise [eq]/[pinned]/[identical] tables only;
+      minimax-regret selection scores every candidate from one build
+      this way.  Raises [Invalid_argument] on dimension mismatch or a
+      negative component. *)
 
   val bytes : t -> int
   (** Resident size in bytes from the table dimensions; the [size_of]

@@ -224,16 +224,23 @@ let get_deltas req =
             if List.length floats = List.length items then Some floats
             else None)
       with
-      | Some ds when ds <> [] && List.for_all (fun d -> d >= 1.) ds -> Ok ds
+      | Some ds when ds <> [] && List.for_all (fun d -> d >= 1.) ds ->
+          (* JSON numbers past the double range, and the "inf" spelling
+             the encoder uses, decode to +inf: an unbounded box, on which
+             Theorem 1 has nothing to say. *)
+          if List.for_all Float.is_finite ds then Ok ds
+          else Error "\"deltas\" must be finite"
       | Some _ -> Error "\"deltas\" must be a non-empty array of numbers >= 1"
       | None -> Error "\"deltas\" must be an array of numbers")
   | None -> (
       match get_float req "delta" with
       | Some d when d >= 1. ->
-          Ok
-            (List.filter
-               (fun x -> x <= d *. 1.0001)
-               Worst_case.default_deltas)
+          if Float.is_finite d then
+            Ok
+              (List.filter
+                 (fun x -> x <= d *. 1.0001)
+                 Worst_case.default_deltas)
+          else Error "\"delta\" must be finite"
       | Some _ -> Error "\"delta\" must be >= 1"
       | None -> Ok Worst_case.default_deltas)
 
@@ -409,10 +416,14 @@ let tier_bnb t ~allowance ~plans ~initial ~deltas =
       Budget.spend b ~who:"server.bnb.build" (np * dim);
       let center = Vec.make dim 1. in
       let bnb = bnb_for t ~plans ~initial ~center in
+      (* Per request, never cached: a budgeted search runs on the
+         node-pool engine, whose node counts and trip points are the
+         boxed engine's. *)
+      let scratch = Sweep.Bnb.Scratch.create () in
       List.map
         (fun delta ->
           point_of_eval ~center ~delta
-            (Sweep.Bnb.eval ?pool:t.pool ~budget:b bnb ~delta))
+            (Sweep.Bnb.eval ?pool:t.pool ~budget:b ~scratch bnb ~delta))
         deltas
     with
     | points ->
@@ -501,10 +512,15 @@ let eval_curve t ~allowance ~plans ~initial ~deltas ~seed =
 (* ------------------------------------------------------------------ *)
 (* The selection ladder: same tiers, same budget discipline, but the
    unit of work is one worst-case regret column per candidate per delta
-   (candidate [i] scored with [initial := plans.(i)] through the same
-   memoized sweeps, so warm selections are bit-identical to cold ones).
-   Classic and LEC columns are single kernel dots and never degrade;
-   only the regret column moves down the ladder. *)
+   (candidate [i] scored with [initial := plans.(i)], through one
+   memoized build per key, so warm selections are bit-identical to cold
+   ones).  Classic and LEC columns are single kernel dots and never
+   degrade; only the regret column moves down the ladder.
+
+   Charges are those of one table build and one [Sweep.eval] /
+   [Sweep.Bnb.eval] per candidate, whatever the tiers compute: a budget
+   trips iff their total exceeds the allowance, so tier choice and
+   [spent] are a fixed function of the request (DESIGN.md section 19). *)
 
 let select_points_json points =
   Json.List
@@ -522,6 +538,19 @@ let select_points_json points =
            ])
        points)
 
+let regret_rows ~plans ~deltas =
+  Array.map (fun _ -> Array.make (Array.length plans) nan) deltas
+
+let select_points ~plans ~center ~deltas regrets =
+  let kernel = Kernel.pack plans in
+  let classic = Select.classic_index ~plans in
+  Array.to_list
+    (Array.mapi
+       (fun di delta ->
+         Select.point_of_regrets ~kernel ~center ~classic ~delta
+           ~regret:regrets.(di) ~fallbacks:0)
+       deltas)
+
 let tier_select_exhaustive t ~allowance ~plans ~deltas =
   let np = Array.length plans in
   if np = 0 then None
@@ -532,25 +561,12 @@ let tier_select_exhaustive t ~allowance ~plans ~deltas =
       let b = Budget.create allowance in
       match
         let center = Vec.make dim 1. in
-        let kernel = Kernel.pack plans in
-        let classic = Select.classic_index ~plans in
-        let sweeps =
-          Array.map
-            (fun initial ->
-              (* One table build per candidate, charged up front, hit or
-                 miss alike. *)
-              Budget.spend b ~who:"server.select.build" (np * (1 lsl dim));
-              sweep_for t ~plans ~initial ~center)
-            plans
-        in
-        List.map
-          (fun delta ->
-            let regret =
-              Array.map (fun sw -> fst (Sweep.eval ~budget:b sw ~delta)) sweeps
-            in
-            Select.point_of_regrets ~kernel ~center ~classic ~delta ~regret
-              ~fallbacks:0)
-          deltas
+        Budget.spend b ~who:"server.select.build" (np * np * (1 lsl dim));
+        let base = sweep_for t ~plans ~initial:plans.(0) ~center in
+        let deltas = Array.of_list deltas in
+        let regrets = regret_rows ~plans ~deltas in
+        Sweep.regret_grid ~budget:b base ~initials:plans ~deltas ~out:regrets;
+        select_points ~plans ~center ~deltas regrets
       with
       | points ->
           Some
@@ -573,26 +589,26 @@ let tier_select_bnb t ~allowance ~plans ~deltas =
       let b = Budget.create allowance in
       match
         let center = Vec.make dim 1. in
-        let kernel = Kernel.pack plans in
-        let classic = Select.classic_index ~plans in
-        let searches =
-          Array.map
-            (fun initial ->
-              Budget.spend b ~who:"server.select.bnb.build" (np * dim);
-              bnb_for t ~plans ~initial ~center)
-            plans
-        in
-        List.map
-          (fun delta ->
-            let regret =
-              Array.map
-                (fun bnb ->
-                  fst (Sweep.Bnb.eval ?pool:t.pool ~budget:b bnb ~delta))
-                searches
-            in
-            Select.point_of_regrets ~kernel ~center ~classic ~delta ~regret
-              ~fallbacks:0)
-          deltas
+        Budget.spend b ~who:"server.select.bnb.build" (np * np * dim);
+        let base = bnb_for t ~plans ~initial:plans.(0) ~center in
+        let deltas = Array.of_list deltas in
+        let regrets = regret_rows ~plans ~deltas in
+        (* Candidate-outer over one node-pool scratch, as Select.curve
+           does.  One budget spans every search, so the loop order
+           cannot move the trip: it happens iff the total node count
+           exceeds what the builds left. *)
+        let scratch = Sweep.Bnb.Scratch.create () in
+        Array.iteri
+          (fun i initial ->
+            let bnb = if i = 0 then base else Sweep.Bnb.rebind base ~initial in
+            Array.iteri
+              (fun di delta ->
+                regrets.(di).(i) <-
+                  fst
+                    (Sweep.Bnb.eval ?pool:t.pool ~budget:b ~scratch bnb ~delta))
+              deltas)
+          plans;
+        select_points ~plans ~center ~deltas regrets
       with
       | points ->
           Some

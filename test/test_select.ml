@@ -146,6 +146,98 @@ let test_dim12_tiers () =
   Alcotest.(check bool) "dim-12 tiers bit-identical" true (same_points ex bb)
 
 (* ------------------------------------------------------------------ *)
+(* The shared-denominator kernel against the per-candidate loops it
+   replaced (test/select_ref.ml): same points, path and fallbacks, and
+   the same totals on every counter the two feed, for every engine and
+   pool size — on ordinary plan sets, zero-usage ones, and adversarial
+   magnitudes (DESIGN.md section 19). *)
+
+let watched =
+  [
+    "sweep.evals";
+    "wc.degenerate_ratios";
+    "bnb.nodes";
+    "bnb.leaves";
+    "select.budget_fallbacks";
+  ]
+
+let counted f = Obs_totals.run watched f
+
+let same_outcome (a, ca) (b, cb) =
+  ca = cb
+  &&
+  match (a, b) with
+  | Ok (ps, path), Ok (qs, path') ->
+      String.equal path path'
+      && same_points ps qs
+      && List.for_all2
+           (fun (p : Select.point) (q : Select.point) ->
+             p.Select.fallbacks = q.Select.fallbacks)
+           ps qs
+  | Error e, Error e' -> String.equal e e'
+  | _ -> false
+
+let matches_reference ?node_budget ~deltas plans =
+  List.for_all
+    (fun engine ->
+      List.for_all
+        (fun pool ->
+          same_outcome
+            (counted (fun () ->
+                 Select.curve ~deltas ?pool ?node_budget ~engine ~plans ()))
+            (counted (fun () ->
+                 Select_ref.curve ~deltas ?pool ?node_budget ~engine ~plans ())))
+        [ Some pool1; Some pool2; Some pool3 ])
+    [ `Exhaustive; `Bnb; `Auto ]
+
+let gen_node_budget = QCheck.Gen.oneofl [ None; Some 1; Some 4; Some 20 ]
+
+let prop_matches_reference ~name ~count gen =
+  QCheck.Test.make ~count ~name
+    (QCheck.make QCheck.Gen.(pair gen gen_node_budget))
+    (fun (plans, node_budget) -> matches_reference ?node_budget ~deltas plans)
+
+let prop_reference_bits =
+  prop_matches_reference ~count:30
+    ~name:"select == per-candidate reference, engines x pools 1/2/3"
+    (gen_plan_set ~dim_lo:2 ~dim_hi:6 ~plans_lo:2 ~plans_hi:8
+       ~degenerate:false)
+
+let prop_reference_bits_degenerate =
+  prop_matches_reference ~count:30
+    ~name:"select == per-candidate reference, zero-usage plans"
+    (gen_plan_set ~dim_lo:2 ~dim_hi:5 ~plans_lo:2 ~plans_hi:6
+       ~degenerate:true)
+
+let prop_reference_bits_adversarial =
+  QCheck.Test.make ~count:80
+    ~name:"select == per-candidate reference, adversarial magnitudes"
+    (QCheck.make
+       ~print:(fun (plans, deltas, _) -> Adversarial.print_case plans deltas)
+       QCheck.Gen.(
+         triple
+           (Adversarial.gen_plans ~dim_hi:5 ~plans_hi:6)
+           Adversarial.gen_deltas gen_node_budget))
+    (fun (plans, deltas, node_budget) ->
+      matches_reference ?node_budget ~deltas plans)
+
+let test_reference_beyond_exhaustive () =
+  (* Past the table gate [`Auto] dispatches to branch-and-bound; the
+     candidate-outer loop must still visit exactly the reference's
+     searches. *)
+  let m = Limits.exhaustive_max_dim + 2 in
+  let rand = Random.State.make [| 19; m |] in
+  let plans =
+    Array.init 4 (fun _ ->
+        Array.init m (fun _ -> 0.1 +. Random.State.float rand 9.9))
+  in
+  List.iter
+    (fun node_budget ->
+      Alcotest.(check bool) "matches reference" true
+        (matches_reference ?node_budget ~deltas:[ 1.; 10.; 1000. ] plans))
+    [ None; Some 30 ]
+
+(* ------------------------------------------------------------------ *)
 (* A hand-built case where minimax penalty separates from classic *)
 
 (* Two specialist plans and one hedge.  At the estimate (1, 1) the
@@ -278,6 +370,14 @@ let () =
           QCheck_alcotest.to_alcotest prop_select_bits;
           QCheck_alcotest.to_alcotest prop_select_bits_degenerate;
           Alcotest.test_case "dim-12 tiers" `Quick test_dim12_tiers;
+        ] );
+      ( "reference",
+        [
+          QCheck_alcotest.to_alcotest prop_reference_bits;
+          QCheck_alcotest.to_alcotest prop_reference_bits_degenerate;
+          QCheck_alcotest.to_alcotest prop_reference_bits_adversarial;
+          Alcotest.test_case "beyond the exhaustive gate" `Quick
+            test_reference_beyond_exhaustive;
         ] );
       ( "degradation",
         [

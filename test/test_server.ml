@@ -231,6 +231,66 @@ let test_server_basics () =
   in
   Alcotest.(check bool) "sub-1 deltas rejected" false (bool_field bad_deltas "ok")
 
+(* Golden digest over the ladder, committed from the per-candidate
+   selection loops this server ran before the shared-denominator kernel
+   (DESIGN.md section 19): the worst_case and select responses of three
+   keys under budgets that land the select ladder on each reachable
+   tier.  Per key: unlimited and exactly the exhaustive select tier's
+   charge (exhaustive), one unit less and exactly the branch-and-bound
+   tier's charge (branch-and-bound), and one unit less again (the
+   Monte-Carlo floor).  The fractional select tier is charged at 1024
+   units per (candidate, candidate, delta) cell, above every
+   branch-and-bound total on these keys, so no budget reaches it. *)
+let golden_ladder =
+  [
+    ("Q6", "same", [ 1_000_000_000; 100; 99; 44; 43 ]);
+    ("Q1", "per-table", [ 1_000_000_000; 25; 24; 6; 5 ]);
+    ( "Q10",
+      "split",
+      [ 1_000_000_000; 16_827_748; 16_827_747; 419_294; 419_293 ] );
+  ]
+
+let golden_select_paths =
+  [
+    "exhaustive sweep";
+    "exhaustive sweep";
+    "branch-and-bound";
+    "branch-and-bound";
+    "monte-carlo estimate";
+  ]
+
+let test_golden_ladder_digest () =
+  let t = Server.create () in
+  let b = Buffer.create 65536 in
+  let id = ref 0 in
+  List.iter
+    (fun (query, layout, budgets) ->
+      List.iter2
+        (fun budget select_path ->
+          List.iter
+            (fun op ->
+              incr id;
+              let resp =
+                Server.handle_line t
+                  (Printf.sprintf
+                     "{\"id\":%d,\"op\":%S,\"query\":%S,\"layout\":%S,\
+                      \"deltas\":[1,10,100],\"seed\":42,\"max_probes\":300,\
+                      \"budget\":%d}"
+                     !id op query layout budget)
+              in
+              if String.equal op "select" then
+                Alcotest.(check string)
+                  (Printf.sprintf "%s/%s budget %d" query layout budget)
+                  select_path (str_field resp "path");
+              Buffer.add_string b resp;
+              Buffer.add_char b '\n')
+            [ "worst_case"; "select" ])
+        budgets golden_select_paths)
+    golden_ladder;
+  Alcotest.(check string)
+    "digest" "62c867e3af77b64bd2f06be966b8f294"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* Requests through [Server.run_stdio], over temporary files: the
    response lines for [input]. *)
 let serve_stdio input =
@@ -255,6 +315,43 @@ let error_kind line =
   | _ -> ""
 
 let ping = "{\"op\":\"ping\"}"
+
+let error_message line =
+  match Option.bind (response_field line "error") (Json.member "message") with
+  | Some (Json.Str m) -> m
+  | _ -> ""
+
+let test_non_finite_deltas () =
+  (* "inf" and 1e999 decode to +inf; an unbounded box would answer
+     gtc = -inf, outside Theorem 1's [1, delta^2].  Typed errors instead,
+     with the sub-1 messages unchanged. *)
+  let t = Server.create ~config:small_config () in
+  let check_error name line message =
+    let resp = Server.handle_line t line in
+    Alcotest.(check bool) (name ^ ": not ok") false (bool_field resp "ok");
+    Alcotest.(check string) (name ^ ": kind") "malformed" (error_kind resp);
+    Alcotest.(check string) (name ^ ": message") message (error_message resp)
+  in
+  List.iter
+    (fun op ->
+      let req field value =
+        Printf.sprintf
+          "{\"op\":%S,\"query\":\"Q6\",\"layout\":\"same\",%S:%s}" op
+          field value
+      in
+      check_error (op ^ " deltas inf") (req "deltas" "[\"inf\"]")
+        "\"deltas\" must be finite";
+      check_error (op ^ " deltas 1e999") (req "deltas" "[10,1e999]")
+        "\"deltas\" must be finite";
+      check_error (op ^ " delta inf") (req "delta" "\"inf\"")
+        "\"delta\" must be finite";
+      check_error (op ^ " delta 1e999") (req "delta" "1e999")
+        "\"delta\" must be finite";
+      check_error (op ^ " deltas sub-1") (req "deltas" "[0.5]")
+        "\"deltas\" must be a non-empty array of numbers >= 1";
+      check_error (op ^ " delta sub-1") (req "delta" "0.5")
+        "\"delta\" must be >= 1")
+    [ "worst_case"; "select" ]
 
 let test_line_too_long () =
   let long = String.make (Server.max_line_bytes + 1) 'x' in
@@ -648,6 +745,9 @@ let () =
       ( "protocol",
         [
           Alcotest.test_case "basics" `Quick test_server_basics;
+          Alcotest.test_case "non-finite deltas" `Quick test_non_finite_deltas;
+          Alcotest.test_case "golden ladder digest" `Quick
+            test_golden_ladder_digest;
           Alcotest.test_case "line too long" `Quick test_line_too_long;
           Alcotest.test_case "line at the cap" `Quick test_line_at_cap;
           Alcotest.test_case "EOF mid-line" `Quick test_eof_mid_line;

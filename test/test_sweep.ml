@@ -544,6 +544,236 @@ let test_budget_trip_point_identity () =
     [ 1.; 2.; 100. ]
 
 (* ------------------------------------------------------------------ *)
+(* Adversarial magnitudes (test/adversarial.ml): the grid's division
+   filter and the shared-denominator regret kernel must both reproduce
+   per-point [eval] where products overflow to +inf, vertex costs
+   underflow to 0, and [0/0] and [inf/inf] ratios appear. *)
+
+let gen_adversarial_sweep =
+  QCheck.Gen.(
+    Adversarial.gen_plans ~dim_hi:5 ~plans_hi:6 >>= fun plans ->
+    let m = Array.length plans.(0) in
+    oneof
+      [
+        return plans.(0);
+        return (Array.make m 0.);
+        array_size (return m) Adversarial.gen_weight;
+      ]
+    >>= fun initial ->
+    oneof [ return (Vec.make m 1.); array_size (return m) (float_range 0.1 10.) ]
+    >>= fun center ->
+    Adversarial.gen_deltas >>= fun deltas ->
+    bool >>= fun prune -> return (plans, initial, center, deltas, prune))
+
+let print_adversarial_sweep (plans, initial, center, deltas, prune) =
+  Printf.sprintf "%s, initial %s, center %s, prune %b"
+    (Adversarial.print_case plans deltas)
+    (Adversarial.print_case [| initial |] [])
+    (Adversarial.print_case [| center |] [])
+    prune
+
+let prop_grid_bits_adversarial =
+  QCheck.Test.make ~count:400
+    ~name:"eval_grid == per-point eval, adversarial magnitudes"
+    (QCheck.make ~print:print_adversarial_sweep gen_adversarial_sweep)
+    (fun (plans, initial, center, deltas, prune) ->
+      let sweep = Sweep.build ~prune ~plans ~initial ~center () in
+      let deltas = Array.of_list deltas in
+      let n = Array.length deltas in
+      let gtc = Float.Array.make n 0. and patterns = Array.make n 0 in
+      Sweep.eval_grid sweep ~deltas ~gtc ~patterns;
+      let ok = ref true in
+      Array.iteri
+        (fun i delta ->
+          let g, k = Sweep.eval sweep ~delta in
+          if not (same_float g (Float.Array.get gtc i) && k = patterns.(i))
+          then ok := false)
+        deltas;
+      !ok)
+
+let test_grid_overflowing_numerator () =
+  (* The first vertex sets the incumbent to 1e308; at the second the
+     numerator overflows to +inf, and so does the filter's product
+     [thr *. den]: the unguarded [not (num <= thr *. den)] test skipped
+     the +inf ratio and reported 1e308. *)
+  let plans = [| [| 1. |] |] and initial = [| 1e308 |] in
+  let center = [| 1. |] in
+  let sweep = Sweep.build ~plans ~initial ~center () in
+  let gtc = Float.Array.make 1 0. and patterns = Array.make 1 0 in
+  Sweep.eval_grid sweep ~deltas:[| 10. |] ~gtc ~patterns;
+  let g, k = Sweep.eval sweep ~delta:10. in
+  Alcotest.check check_bits "eval is +inf" infinity g;
+  Alcotest.check check_bits "grid == eval" g (Float.Array.get gtc 0);
+  Alcotest.(check int) "same pattern" k patterns.(0);
+  let curve = Worst_case.curve ~deltas:[ 10. ] ~plans ~initial () in
+  let naive = Worst_case.curve_naive ~deltas:[ 10. ] ~plans ~initial () in
+  Alcotest.(check bool) "curve == curve_naive" true (same_points naive curve)
+
+let test_grid_subnormal_numerator () =
+  (* With u = 2^-1074, plan 0 sets the incumbent to 6u; plan 1's first
+     vertex has numerator 2u over cost 0.25, ratio 8u.  The filter's
+     product [thr *. den] = 1.5u rounds up to 2u in the subnormal range,
+     so the unguarded test skipped that vertex and took the same ratio
+     one vertex later: the right value, the wrong witness. *)
+  let u = 0x1p-1074 in
+  let plans = [| [| 2. /. 3. |]; [| 0.5 |] |] and initial = [| 4. *. u |] in
+  let sweep = Sweep.build ~plans ~initial ~center:[| 1. |] () in
+  let gtc = Float.Array.make 1 0. and patterns = Array.make 1 0 in
+  Sweep.eval_grid sweep ~deltas:[| 2. |] ~gtc ~patterns;
+  let g, k = Sweep.eval sweep ~delta:2. in
+  Alcotest.check check_bits "eval is 8u" (8. *. u) g;
+  Alcotest.(check int) "eval's witness is the first vertex" 0 k;
+  Alcotest.check check_bits "grid == eval" g (Float.Array.get gtc 0);
+  Alcotest.(check int) "same witness" k patterns.(0)
+
+(* Per-candidate [eval] on a sweep built with each candidate as the
+   initial: the reference [regret_grid] must reproduce bit for bit. *)
+let regret_reference ~prune ~plans ~center ~initials ~deltas =
+  Array.map
+    (fun delta ->
+      Array.map
+        (fun initial ->
+          fst (Sweep.eval (Sweep.build ~prune ~plans ~initial ~center ()) ~delta))
+        initials)
+    deltas
+
+let regret_property (plans, initials, center, deltas, prune) =
+  let deltas = Array.of_list deltas in
+  let expect = regret_reference ~prune ~plans ~center ~initials ~deltas in
+  let base = Sweep.build ~prune ~plans ~initial:plans.(0) ~center () in
+  let out =
+    Array.map (fun _ -> Array.make (Array.length initials) 0.) deltas
+  in
+  let scratch = Sweep.Scratch.create () in
+  (* Cold and warm scratch alike. *)
+  List.for_all
+    (fun () ->
+      Sweep.regret_grid ~scratch base ~initials ~deltas ~out;
+      Array.for_all2
+        (fun e o -> Array.for_all2 same_float e o)
+        expect out)
+    [ (); () ]
+
+let gen_regret_case gen_plans gen_weight gen_deltas =
+  QCheck.Gen.(
+    gen_plans >>= fun plans ->
+    let m = Array.length plans.(0) in
+    int_range 0 3 >>= fun extra ->
+    list_size (return extra) (array_size (return m) gen_weight)
+    >>= fun extra ->
+    let initials =
+      Array.append plans (Array.of_list (Array.make m 0. :: extra))
+    in
+    oneof [ return (Vec.make m 1.); array_size (return m) (float_range 0.1 10.) ]
+    >>= fun center ->
+    gen_deltas >>= fun deltas ->
+    bool >>= fun prune -> return (plans, initials, center, deltas, prune))
+
+let prop_regret_bits =
+  QCheck.Test.make ~count:60
+    ~name:"regret_grid == per-candidate eval"
+    (QCheck.make
+       (gen_regret_case
+          (gen_plan_set ~dim_lo:1 ~dim_hi:8 ~plans_lo:1 ~plans_hi:10
+             ~degenerate:true)
+          (QCheck.Gen.float_range 0. 10.)
+          (QCheck.Gen.return deltas)))
+    regret_property
+
+let prop_regret_bits_adversarial =
+  QCheck.Test.make ~count:400
+    ~name:"regret_grid == per-candidate eval, adversarial magnitudes"
+    (QCheck.make
+       ~print:(fun (plans, initials, _, deltas, _) ->
+         Adversarial.print_case plans deltas ^ ", initials "
+         ^ Adversarial.print_case initials [])
+       (gen_regret_case
+          (Adversarial.gen_plans ~dim_hi:5 ~plans_hi:6)
+          Adversarial.gen_weight Adversarial.gen_deltas))
+    regret_property
+
+let test_regret_counters_and_budget () =
+  (* Counters as the per-candidate evals count them, and the budget
+     charged in one checkpoint: exactly their total fits, one unit less
+     trips before anything is written or counted. *)
+  let module B = Qsens_budget.Budget in
+  let plans =
+    [| [| 1.; 4.; 2. |]; [| 0.; 0.; 0. |]; [| 5.; 1.; 1. |]; [| 2.; 2.; 2. |] |]
+  in
+  let initials = Array.append plans [| [| 0.; 0.; 0. |] |] in
+  let center = [| 1.; 2.; 0.5 |] in
+  let deltas = [| 1.; 3.; 100. |] in
+  let counters f =
+    match Obs_totals.run [ "sweep.evals"; "wc.degenerate_ratios" ] f with
+    | Ok (), totals -> totals
+    | Error e, _ -> Alcotest.fail e
+  in
+  let total = ref 0 in
+  let expected =
+    counters (fun () ->
+        Array.iter
+          (fun delta ->
+            Array.iter
+              (fun initial ->
+                let b = B.create max_int in
+                let sw = Sweep.build ~plans ~initial ~center () in
+                ignore (Sweep.eval ~budget:b sw ~delta : float * int);
+                total := !total + B.spent b)
+              initials)
+          deltas)
+  in
+  let base = Sweep.build ~plans ~initial:plans.(0) ~center () in
+  let out = Array.map (fun _ -> Array.make (Array.length initials) 0.) deltas in
+  let b = B.create !total in
+  let got =
+    counters (fun () -> Sweep.regret_grid ~budget:b base ~initials ~deltas ~out)
+  in
+  Alcotest.(check (list int)) "counters" expected got;
+  Alcotest.(check int) "charged the evals' total" !total (B.spent b);
+  let short = B.create (!total - 1) in
+  let out' = Array.map (fun _ -> Array.make (Array.length initials) 7.) deltas in
+  let tripped =
+    counters (fun () ->
+        match Sweep.regret_grid ~budget:short base ~initials ~deltas ~out:out' with
+        | () -> Alcotest.fail "expected Exhausted"
+        | exception B.Exhausted { asked; _ } ->
+            Alcotest.(check int) "one checkpoint" !total asked)
+  in
+  Alcotest.(check (list int)) "nothing counted" [ 0; 0 ] tripped;
+  Alcotest.(check int) "nothing spent" 0 (B.spent short);
+  Alcotest.(check bool) "nothing written" true
+    (Array.for_all (Array.for_all (fun x -> x = 7.)) out')
+
+let test_regret_allocation () =
+  (* The allocation guard: with a warm scratch and caller-owned output
+     the kernel allocates no minor words per (candidate, delta) cell. *)
+  let m = 8 and np = 12 in
+  let rand = Random.State.make [| 5; m |] in
+  let plans =
+    Array.init np (fun _ ->
+        Array.init m (fun _ -> 0.1 +. Random.State.float rand 9.9))
+  in
+  let center = Vec.make m 1. in
+  let deltas = Array.of_list Worst_case.default_deltas in
+  let base = Sweep.build ~plans ~initial:plans.(0) ~center () in
+  let out = Array.map (fun _ -> Array.make np 0.) deltas in
+  (* Wrapped once: passing [~scratch] would allocate its [Some] per call. *)
+  let scratch = Some (Sweep.Scratch.create ()) in
+  let run () = Sweep.regret_grid ?scratch base ~initials:plans ~deltas ~out in
+  run ();
+  let reps = 20 in
+  let (), minor, _ =
+    Qsens_obs.Obs.measure_alloc
+      ~n:(reps * np * Array.length deltas)
+      (fun () ->
+        for _ = 1 to reps do
+          run ()
+        done)
+  in
+  Printf.printf "regret_grid: %.4f minor words per cell\n" minor;
+  Alcotest.(check bool) "<= 0.01 minor words per cell" true (minor <= 0.01)
+
+(* ------------------------------------------------------------------ *)
 (* Adversarial near-ties: plan pairs whose vertex values differ only in
    the last few ulps.  Swapping two components of a plan ties its vertex
    sums exactly at the patterns symmetric in those components; a
@@ -707,6 +937,22 @@ let () =
           prop_bnb_scratch_bits;
           prop_bnb_scratch_bits_degenerate;
         ];
+      ( "adversarial",
+        [
+          QCheck_alcotest.to_alcotest prop_grid_bits_adversarial;
+          Alcotest.test_case "overflowing numerator" `Quick
+            test_grid_overflowing_numerator;
+          Alcotest.test_case "subnormal numerator" `Quick
+            test_grid_subnormal_numerator;
+        ] );
+      ( "regret",
+        [
+          QCheck_alcotest.to_alcotest prop_regret_bits;
+          QCheck_alcotest.to_alcotest prop_regret_bits_adversarial;
+          Alcotest.test_case "counters and budget" `Quick
+            test_regret_counters_and_budget;
+          Alcotest.test_case "allocation" `Quick test_regret_allocation;
+        ] );
       ( "budget",
         [
           Alcotest.test_case "node-pool trip point == classic" `Quick
