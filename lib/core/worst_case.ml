@@ -102,9 +102,8 @@ let gtc_at_full_legacy ?pool ~plans ~initial delta =
    runs under a fresh budget, and a point whose search trips it degrades
    to the linear-fractional program for that point alone (recorded in
    [fell] and the wc.budget_fallbacks counter).  Whether a point trips
-   is a pure function of (budget, plans, delta) — budgeted searches run
-   sequentially — so the fallback set is deterministic for any pool
-   size. *)
+   is a pure function of (budget, plans, delta), so the fallback set is
+   the same for any pool size. *)
 
 let curve_bnb ?node_budget ~deltas ?pool ~plans ~initial () =
   let center = ones_center ~initial in
@@ -113,44 +112,35 @@ let curve_bnb ?node_budget ~deltas ?pool ~plans ~initial () =
   let nd = Array.length darr in
   let results = Array.make nd { delta = nan; gtc = nan; witness = [||] } in
   let fell = Array.make nd false in
-  let point ?pool ?scratch delta di =
+  let point ~scratch delta di =
     match node_budget with
     | None ->
         (* qsens-check: disable=C003 — unbudgeted branch: Bnb.eval cannot raise Exhausted without a budget *)
-        point_of_eval ~center ~delta (Sweep.Bnb.eval ?pool ?scratch bnb ~delta)
+        point_of_eval ~center ~delta (Sweep.Bnb.eval ~scratch bnb ~delta)
     | Some n -> (
         let budget = Budget.create n in
         try
           point_of_eval ~center ~delta
-            (Sweep.Bnb.eval ?pool ~budget ?scratch bnb ~delta)
+            (Sweep.Bnb.eval ~budget ~scratch bnb ~delta)
         with Budget.Exhausted _ ->
           (* qsens-check: disable=C001 — each chunk fills a disjoint [lo, hi) slice *)
           fell.(di) <- true;
           let gtc, witness = gtc_at_full_legacy ~plans ~initial delta in
           { delta; gtc; witness })
   in
-  let fill ?pool ?scratch lo hi =
+  (* One scratch per chunk of the grid: a scratch is single-owner
+     state, and its search visits the same nodes wherever it runs. *)
+  let fill lo hi =
+    let scratch = Sweep.Bnb.Scratch.create () in
     for di = lo to hi - 1 do
-      let delta = darr.(di) in
       (* qsens-check: disable=C001 — each chunk fills a disjoint [lo, hi) slice *)
-      results.(di) <- point ?pool ?scratch delta di
+      results.(di) <- point ~scratch darr.(di) di
     done
   in
   (match pool with
   | Some p when Pool.domains p > 1 && nd > 1 ->
-      (* Chunk over grid points; the searches inside each chunk run
-         sequentially (pools are not reentrant).  Results are identical
-         either way — only the node counts differ between sharded and
-         sequential searches.  No shared scratch here: a Bnb.Scratch is
-         single-owner state and the chunks run on distinct domains. *)
-      Pool.parallel_for_chunked p ~n:nd (fun lo hi -> fill lo hi)
-  | Some p when Pool.domains p > 1 -> fill ~pool:p 0 nd
-  | _ ->
-      (* One scratch for the whole sequential sweep: the node-pool
-         engine refills the flat spec tables per delta and allocates
-         nothing per search node — same results and budget trip points
-         as the classic engine. *)
-      fill ~scratch:(Sweep.Bnb.Scratch.create ()) 0 nd);
+      Pool.parallel_for_chunked p ~n:nd fill
+  | _ -> fill 0 nd);
   let fallbacks = Array.fold_left (fun a f -> if f then a + 1 else a) 0 fell in
   Obs.add m_budget_fallbacks fallbacks;
   Obs.add m_curve_points nd;
@@ -252,7 +242,7 @@ let gtc_at_full ?pool ?(node_budget = Limits.default_bnb_node_budget) ~plans
     let center = ones_center ~initial in
     let bnb = Sweep.Bnb.build ~plans ~initial ~center () in
     let budget = Budget.create node_budget in
-    match Sweep.Bnb.eval ?pool ~budget bnb ~delta with
+    match Sweep.Bnb.eval ~budget bnb ~delta with
     | res ->
         let p = point_of_eval ~center ~delta res in
         (p.gtc, p.witness)

@@ -56,19 +56,6 @@ let dot_row t i x =
          t.cols);
   Vec.dot_sub_fa t.data (i * t.cols) t.cols x
 
-let prefix_sums t =
-  let stride = t.cols + 1 in
-  let out = FA.make (t.rows * stride) 0. in
-  for i = 0 to t.rows - 1 do
-    let base = i * stride and row = i * t.cols in
-    let acc = ref 0. in
-    for j = 0 to t.cols - 1 do
-      acc := !acc +. FA.unsafe_get t.data (row + j);
-      FA.unsafe_set out (base + j + 1) !acc
-    done
-  done;
-  out
-
 (* Reusable output buffers for the [_into] paths: one growable unboxed
    array per scratch, so repeated evaluations against matrices of any
    (bounded) size allocate nothing after warm-up. *)

@@ -48,15 +48,6 @@ val dot_row : t -> int -> Vec.t -> float
 (** [dot_row t i x] is [Vec.dot (row t i) x] without the copy —
     bit-identical, allocation-free. *)
 
-val prefix_sums : t -> floatarray
-(** [prefix_sums t] is a row-major [rows x (cols + 1)] table [P] with
-    [P.(i * (cols + 1) + j)] the sum of the first [j] entries of row
-    [i], accumulated in ascending column order — so each row's final
-    entry is bit-identical to the ascending fold of the row.  Feeds the
-    suffix completion bounds of the branch-and-bound vertex search: the
-    total weight of the low coordinates [0 .. d] of row [i] is
-    [P.(i * (cols + 1) + d + 1)]. *)
-
 (** Reusable unboxed output buffers for the [_into] paths.  A scratch
     grows to the largest size ever requested and is then reused, so
     repeated evaluations allocate nothing after warm-up. *)

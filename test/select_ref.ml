@@ -36,8 +36,8 @@ let curve_exhaustive ?pool ~plans ~center ~deltas () =
     plans;
   List.init nd (fun di -> (darr.(di), regrets.(di), 0))
 
-let curve_bnb ?pool ?(node_budget = Limits.default_bnb_node_budget) ~plans
-    ~center ~deltas () =
+let curve_bnb ?(node_budget = Limits.default_bnb_node_budget) ~plans ~center
+    ~deltas () =
   let base = Sweep.Bnb.build ~plans ~initial:plans.(0) ~center () in
   let searches =
     Array.mapi
@@ -53,7 +53,7 @@ let curve_bnb ?pool ?(node_budget = Limits.default_bnb_node_budget) ~plans
         Array.mapi
           (fun i bnb ->
             let budget = Budget.create node_budget in
-            match Sweep.Bnb.eval ?pool ~budget ~scratch bnb ~delta with
+            match Sweep.Bnb.eval ~budget ~scratch bnb ~delta with
             | gtc, _ -> gtc
             | exception Budget.Exhausted _ ->
                 incr fallbacks;
@@ -90,7 +90,7 @@ let curve ?(deltas = Worst_case.default_deltas) ?pool ?node_budget
       "exhaustive sweep" )
   in
   let bnb () =
-    let rows = curve_bnb ?pool ?node_budget ~plans ~center ~deltas () in
+    let rows = curve_bnb ?node_budget ~plans ~center ~deltas () in
     let fallbacks = List.fold_left (fun a (_, _, f) -> a + f) 0 rows in
     let cells = Array.length plans * List.length deltas in
     let node_budget =
