@@ -1690,7 +1690,7 @@ let bench_kernel () =
     done
   in
   run_flat ();
-  (* Bitwise contract: the node-pool engine against the classic one. *)
+  (* Bitwise contract: the warm-scratch search against a cold one. *)
   let total_nodes = ref 0 and total_leaves = ref 0 in
   Array.iteri
     (fun i delta ->
@@ -1703,7 +1703,8 @@ let bench_kernel () =
       then
         failwith
           (Printf.sprintf
-             "kernel bnb: node-pool search differs from classic at delta %g"
+             "kernel bnb: warm-scratch search differs from a cold one at delta \
+              %g"
              delta))
     deltas;
   (* Replica against the kernel, within tolerance. *)
@@ -1752,7 +1753,7 @@ let bench_kernel () =
   Table_r.print t;
   Printf.printf
     "(grid=%d interleaved best-of-%d x%d; grid kernel bit-identical to \
-     per-point eval, node pool bit-identical to the classic engine, seed \
+     per-point eval, node pool bit-identical to a cold search, seed \
      replicas within 1e-9 relative; %d search nodes / %d leaves per bnb \
      grid)\n"
     nd rounds reps !total_nodes !total_leaves;

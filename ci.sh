@@ -39,11 +39,15 @@ QSENS_RESULTS_DIR="$sweep_tmp" \
 # Smoke-size kernel benchmark — the allocation gate: fails unless the
 # incremental grid path is bit-identical to per-point eval AND allocates
 # zero minor-heap words per delta point, and unless the node-pool search
-# is bit-identical to the classic engine and allocates no more than the
-# seed replica.  Committed full-size BENCH_kernel.json is untouched.
+# is bit-identical to a cold search and allocates no more than the seed
+# replica.  Run again with metrics recording on: counting must not
+# allocate either.  Committed full-size BENCH_kernel.json is untouched.
 echo "== bench kernel smoke"
 QSENS_RESULTS_DIR="$sweep_tmp" \
   dune exec bench/main.exe -- kernel --smoke > /dev/null
+echo "== bench kernel smoke, metrics on"
+QSENS_RESULTS_DIR="$sweep_tmp" \
+  dune exec bench/main.exe -- --smoke --metrics kernel > /dev/null
 
 echo "== fault-injection smoke"
 dune exec bin/qsens_cli.exe -- lsq Q14 -l per-table -d 4 \

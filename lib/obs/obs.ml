@@ -29,7 +29,7 @@ type track = {
   label : string;
   mutable clock : int;
   mutable events : event list; (* newest first *)
-  cells : (int, cell) Hashtbl.t;
+  mutable cells : cell option array; (* indexed by metric id *)
 }
 
 (* ---- registry -------------------------------------------------------- *)
@@ -65,8 +65,7 @@ let tracks : (string, track) Hashtbl.t = Hashtbl.create 16
 let tracks_lock = Mutex.create ()
 let batch_counter = ref 0
 
-let new_track label =
-  { label; clock = 0; events = []; cells = Hashtbl.create 16 }
+let new_track label = { label; clock = 0; events = []; cells = [||] }
 
 let find_track label =
   Mutex.lock tracks_lock;
@@ -83,19 +82,29 @@ let find_track label =
 
 (* The current track is domain-local.  Pool workers only record inside
    [with_task], which pins their track; any stray record outside a task
-   falls back to the main track. *)
+   falls back to the main track, cached so that recording on it takes no
+   lock and allocates nothing.  Every domain that fills the cache finds
+   the same track. *)
 let current_key : track option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+let main_track : track option ref = ref None
 
 let current () =
   match Domain.DLS.get current_key with
   | Some t -> t
-  | None -> find_track main_label
+  | None -> (
+      match !main_track with
+      | Some t -> t
+      | None ->
+          let t = find_track main_label in
+          main_track := Some t;
+          t)
 
 let recording () = !recording_flag
 
 let reset () =
   Mutex.lock tracks_lock;
   Hashtbl.reset tracks;
+  main_track := None;
   batch_counter := 0;
   Mutex.unlock tracks_lock;
   Domain.DLS.set current_key None
@@ -155,8 +164,13 @@ let with_task ~batch ~index f =
 
 (* ---- metrics --------------------------------------------------------- *)
 
+let find_cell t (m : metric) =
+  if m.id < Array.length t.cells then Array.unsafe_get t.cells m.id else None
+
+(* A cell is allocated once, on its metric's first record in the track;
+   after that a record is an array read. *)
 let cell_of t (m : metric) =
-  match Hashtbl.find_opt t.cells m.id with
+  match find_cell t m with
   | Some c -> c
   | None ->
       let c =
@@ -165,7 +179,13 @@ let cell_of t (m : metric) =
         | Gauge -> Cgauge { v = 0. }
         | Histogram -> Chist { n = 0; sum = 0.; buckets = Array.make 64 0 }
       in
-      Hashtbl.add t.cells m.id c;
+      let len = Array.length t.cells in
+      if m.id >= len then begin
+        let grown = Array.make (max (m.id + 1) (2 * len)) None in
+        Array.blit t.cells 0 grown 0 len;
+        t.cells <- grown
+      end;
+      t.cells.(m.id) <- Some c;
       c
 
 let add m n =
@@ -325,7 +345,7 @@ let snapshot () =
   let ts = sorted_tracks () in
   List.filter_map
     (fun m ->
-      let cells = List.filter_map (fun t -> Hashtbl.find_opt t.cells m.id) ts in
+      let cells = List.filter_map (fun t -> find_cell t m) ts in
       match cells with
       | [] -> None
       | _ ->
