@@ -41,9 +41,8 @@ val curve :
     With [?pool] the table build and the per-delta evaluations run across
     domains; ties break by lowest (plan index, vertex pattern), so every
     [(delta, gtc, witness)] triple is identical to the sequential run.
-    Whether a point trips the budget is likewise pool-independent:
-    budgeted searches run sequentially, so the trip point is a pure
-    function of the inputs. *)
+    Whether a point trips the budget is likewise pool-independent: a
+    search's node count is a function of the plans and delta alone. *)
 
 val curve_with_path :
   ?deltas:float list ->

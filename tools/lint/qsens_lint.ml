@@ -566,7 +566,7 @@ let make_iter ?(hot = []) ~file ~emit () =
             emit "K002" e.pexp_loc
               "Vertex_enum.vertices in the worst-case dispatcher materializes \
                all 2^dim box vertices; go through the pruned search \
-               (Sweep.Bnb / Vertex_enum.Bnb.search)";
+               (Sweep.Bnb)";
           if is_k003_alloc p then emit_k003 e.pexp_loc p;
           if is_k003_string p && error_depth = 0 then
             emit_k003 e.pexp_loc (Printf.sprintf "string building (%s)" p)
