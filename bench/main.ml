@@ -17,8 +17,6 @@
      monte   - distributional sensitivity: worst case versus sampled
                GTC percentiles over the feasible region
      adapt   - the autonomic re-optimization policy comparison
-     robust  - minimax (worst-case-GTC-minimizing) plan choice versus
-               the nominal optimum
      calib   - closing the loop: recover drifted costs from observed
                executions, re-optimize, measure the recovery
      ablation- sensitivity versus join-graph topology, index set,
@@ -457,46 +455,10 @@ let bench_ablation () =
     [ 1; 2; 4; 8 ];
   Table_r.print t
 
-let bench_robust () =
-  heading
-    "Robust plan choice: minimax worst-case GTC versus the nominal optimum      (delta = 100, Fig-6 layout)";
-  let t =
-    Table_r.make
-      ~header:
-        [ "query"; "nominal wc-GTC"; "minimax wc-GTC"; "improvement";
-          "minimax nominal penalty" ]
-  in
-  List.iter
-    (fun (r : Experiment.report) ->
-      let plans =
-        Array.of_list
-          (List.map (fun p -> p.Candidates.eff) r.candidates.plans)
-      in
-      if Array.length plans > 1 then begin
-        let nominal_choice = Robust.nominal ~plans in
-        let nominal_scored =
-          Robust.evaluate ~plans ~index:nominal_choice.Robust.index ~delta:100.
-        in
-        let mm = Robust.minimax ~plans ~delta:100. in
-        Table_r.add_row t
-          [
-            r.query_name;
-            Table_r.cell_f nominal_scored.Robust.worst_gtc;
-            Table_r.cell_f mm.Robust.worst_gtc;
-            Printf.sprintf "%.1fx"
-              (nominal_scored.Robust.worst_gtc /. mm.Robust.worst_gtc);
-            Printf.sprintf "%.3fx" mm.Robust.nominal_penalty;
-          ]
-      end)
-    (reports (policy_of_figure 6));
-  Table_r.print t;
-  print_endline
-    "(the minimax plan trades a little at the estimated costs for orders
-     of magnitude in the corners of the feasible region)"
-
 (* Selection across the delta axis: the regret the classic choice is
-   exposed to versus what minimax locks in, per Fig-6 query.  The table
-   shows delta = 100; the JSON artifact records the whole sweep. *)
+   exposed to versus what minimax locks in, and what the minimax plan
+   costs at the estimates, per Fig-6 query.  The table shows
+   delta = 100; the JSON artifact records the whole sweep. *)
 let bench_select () =
   heading
     "Plan selection: least-expected-cost and minimax regret versus classic     (Fig-6 layout)";
@@ -506,7 +468,7 @@ let bench_select () =
     Table_r.make
       ~header:
         [ "query"; "dim"; "plans"; "classic regret"; "minimax regret";
-          "improvement" ]
+          "improvement"; "minimax nominal penalty" ]
   in
   let rows = ref [] in
   List.iter
@@ -526,6 +488,11 @@ let bench_select () =
         | Some p ->
             let c = p.Select.regret.(p.Select.classic) in
             let m = p.Select.regret.(p.Select.minimax) in
+            let penalty =
+              Framework.relative_cost ~a:plans.(p.Select.minimax)
+                ~b:plans.(p.Select.classic)
+                ~costs:(Qsens_linalg.Vec.make dim 1.)
+            in
             Table_r.add_row t
               [
                 r.query_name; string_of_int dim;
@@ -533,13 +500,16 @@ let bench_select () =
                 Table_r.cell_f m;
                 (if p.Select.classic = p.Select.minimax then "-"
                  else Printf.sprintf "%.2fx" (c /. m));
+                Printf.sprintf "%.3fx" penalty;
               ]
       end)
     (reports (policy_of_figure 6));
   Table_r.print t;
   print_endline
     "(worst-case regret at delta = 100; \"-\" marks queries where minimax\n\
-    \ keeps the classic plan — LEC always does over the symmetric box)";
+    \ keeps the classic plan — LEC always does over the symmetric box; the\n\
+    \ nominal penalty is the minimax plan's cost at the estimates relative\n\
+    \ to the classic plan's)";
   let rows = List.rev !rows in
   let path = Filename.concat (results_dir ()) "BENCH_select.json" in
   let oc = open_out path in
@@ -669,7 +639,7 @@ let bench_timing () =
         Test.make ~name:"optimize-Q8" (Staged.stage (fun () ->
              ignore (Qsens_optimizer.Optimizer.optimize env_same q8 ~costs)));
         Test.make ~name:"worst-case-gtc" (Staged.stage (fun () ->
-             ignore (Framework.worst_case_gtc ~plans ~a:plans.(0) box3)));
+             ignore (Worst_case.gtc_at ~plans ~initial:plans.(0) 1000.)));
         Test.make ~name:"least-squares-12x6" (Staged.stage (fun () ->
              ignore (Qsens_linalg.Mat.least_squares mat rhs)));
         Test.make ~name:"simplex-feasibility" (Staged.stage (fun () ->
@@ -1825,7 +1795,6 @@ let all_parts =
     ("diagram", bench_diagram);
     ("monte", bench_monte);
     ("adapt", bench_adaptive);
-    ("robust", bench_robust);
     ("select", bench_select);
     ("calib", bench_calibration);
     ("ablation", bench_ablation);

@@ -556,48 +556,6 @@ let profile_cmd =
     Term.(const run $ sf_arg $ policy_arg $ query_arg $ delta_arg $ seed_arg
           $ dim_arg)
 
-let robust_cmd =
-  let run sf policy name delta seed =
-    let query = lookup_query sf name in
-    let schema = Qsens_tpch.Spec.schema ~sf in
-    let s = Experiment.setup ~schema ~policy query in
-    let box =
-      Qsens_geom.Box.around
-        (Qsens_linalg.Vec.make (Projection.active_dim s.proj) 1.)
-        ~delta
-    in
-    let oracle = Experiment.white_box_oracle s in
-    let c = Candidates.discover ~seed ~max_probes:1200 oracle ~box in
-    let plans =
-      Array.of_list (List.map (fun (p : Candidates.plan) -> p.eff) c.plans)
-    in
-    let signature i = (List.nth c.plans i).Candidates.signature in
-    let nominal = Robust.nominal ~plans in
-    let nominal_scored =
-      Robust.evaluate ~plans ~index:nominal.Robust.index ~delta
-    in
-    let mm = Robust.minimax ~plans ~delta in
-    Printf.printf
-      "nominal plan   %s\n  worst-case GTC over +/-%gx errors: %.4g\n"
-      (signature nominal.Robust.index) delta nominal_scored.Robust.worst_gtc;
-    Printf.printf
-      "minimax plan   %s\n  worst-case GTC: %.4g, nominal penalty %.3fx\n"
-      (signature mm.Robust.index) mm.Robust.worst_gtc mm.Robust.nominal_penalty;
-    if mm.Robust.index = nominal.Robust.index then
-      print_endline "the nominal optimum is already the robust choice"
-    else
-      Printf.printf
-        "recommendation: if cost estimates can be off by %gx, the minimax \
-         plan\ntrades %.1f%% at the estimates for a %.3gx better worst \
-         case.\n"
-        delta
-        (100. *. (mm.Robust.nominal_penalty -. 1.))
-        (nominal_scored.Robust.worst_gtc /. mm.Robust.worst_gtc)
-  in
-  let doc = "Recommend a plan that is robust to cost-estimate errors." in
-  Cmd.v (Cmd.info "robust" ~doc)
-    Term.(const run $ sf_arg $ policy_arg $ query_arg $ delta_arg $ seed_arg)
-
 let select_cmd =
   let run sf policy name delta seed domains =
     with_domains domains (fun pool ->
@@ -647,14 +605,20 @@ let select_cmd =
             else
               Printf.printf
                 "\nat delta = %g: classic picks %s (worst-case GTC %.4g), \
-                 minimax picks %s (%.4g) — a %.3gx better guarantee.\n"
+                 minimax picks %s (%.4g) — a %.3gx better guarantee\n\
+                 for a %.3fx nominal penalty (its cost at the estimates \
+                 relative to the classic plan's).\n"
                 last.Select.delta
                 (name last.Select.classic)
                 last.Select.regret.(last.Select.classic)
                 (name last.Select.minimax)
                 last.Select.regret.(last.Select.minimax)
                 (last.Select.regret.(last.Select.classic)
-                /. last.Select.regret.(last.Select.minimax)))
+                /. last.Select.regret.(last.Select.minimax))
+                (Framework.relative_cost ~a:plans.(last.Select.minimax)
+                   ~b:plans.(last.Select.classic)
+                   ~costs:
+                     (Qsens_linalg.Vec.make (Qsens_linalg.Vec.dim plans.(0)) 1.)))
   in
   let doc =
     "Compare plan-selection rules over the error box: classic (optimal at \
@@ -927,7 +891,7 @@ let main =
   Cmd.group
     (Cmd.info "qsens" ~version:"1.0.0" ~doc)
     [ explain_cmd; worst_case_cmd; candidates_cmd; figure_cmd; lsq_cmd;
-      diagram_cmd; profile_cmd; robust_cmd; select_cmd; sql_cmd; params_cmd;
+      diagram_cmd; profile_cmd; select_cmd; sql_cmd; params_cmd;
       serve_cmd; client_cmd ]
 
 let () = exit (Cmd.eval main)

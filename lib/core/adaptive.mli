@@ -53,10 +53,9 @@ val drift_trace :
     over subsequent steps.  Multipliers are clamped to
     [[1/max_delta, max_delta]] (default 100). *)
 
-val simulate : plans:Vec.t array -> trace:trace -> policy -> outcome
-(** Execution cost at each step is the running plan's [eff . theta];
-    re-optimization (when the policy triggers) switches to the candidate
-    plan cheapest under the current theta. *)
-
 val compare_policies :
   plans:Vec.t array -> trace:trace -> policy list -> outcome list
+(** Run each policy over the trace.  Execution cost at each step is the
+    running plan's [eff . theta]; re-optimization (when the policy
+    triggers) switches to the candidate plan cheapest under the current
+    theta. *)

@@ -20,6 +20,8 @@ type setup = {
   dims : Complementary.dim_kind array;
 }
 
+(* Figure 5 varies d_s, d_t and CPU independently (Groups.Per_resource);
+   the multi-device experiments scale whole devices (Groups.Per_device). *)
 let scheme_for = function
   | Layout.Same_device -> Groups.Per_resource
   | Layout.Per_table_devices | Layout.Per_table_and_index_devices ->

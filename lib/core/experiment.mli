@@ -33,10 +33,6 @@ type setup = {
   dims : Complementary.dim_kind array;  (** kinds of the active dims *)
 }
 
-val scheme_for : Layout.policy -> Groups.scheme
-(** Figure 5 varies d_s, d_t and CPU independently ({!Groups.Per_resource});
-    the multi-device experiments scale whole devices ({!Groups.Per_device}). *)
-
 val setup :
   ?buffer_pages:float ->
   ?sort_heap_pages:float ->

@@ -23,9 +23,6 @@ let optimal_index ~plans ~costs =
   done;
   !best
 
-let optimal_cost ~plans ~costs =
-  Vec.dot plans.(optimal_index ~plans ~costs) costs
-
 let global_relative_cost ~plans ~a ~costs =
   relative_cost ~a ~b:plans.(optimal_index ~plans ~costs) ~costs
 
@@ -35,7 +32,7 @@ let equicost ~a ~b ~costs =
 
 let worst_case_gtc_fractional ?pool ~plans ~a box =
   if Array.length plans = 0 then
-    invalid_arg "Framework.worst_case_gtc: no plans";
+    invalid_arg "Framework.worst_case_gtc_fractional: no plans";
   let np = Array.length plans in
   (* Chunk-local argmax with strict improvement: the first (lowest-index)
      plan wins ties, as in the sequential loop.  Degenerate ratios (NaN
@@ -72,88 +69,3 @@ let worst_case_gtc_fractional ?pool ~plans ~a box =
       (* Every plan was degenerate: surface NaN rather than the
          neg_infinity sentinel with an arbitrary center witness. *)
       ((if degen > 0 then nan else best), Box.center box)
-
-(* Beyond this dimension, enumerating all 2^m vertices stops paying off
-   against the bisection path; the dispatcher falls back.  One source of
-   truth with the Sweep gate: callers needing larger boxes go through
-   the branch-and-bound path (Sweep.Bnb / Worst_case). *)
-let vertex_max_dim = Limits.exhaustive_max_dim
-
-(* Shared vertex-enumeration argmax: per plan, scan all box vertices with
-   strict improvement (lowest pattern wins ties, NaN skipped), then the
-   per-plan maxima reduce with strict improvement in plan-index order —
-   mirroring the fractional path's tie-breaking exactly.  [den] abstracts
-   the denominator dot so the packed-kernel path and the naive [Vec.dot]
-   reference share one argmax and stay bit-identical by construction. *)
-let worst_case_gtc_vertices ~den ?pool ~plans ~a box =
-  let np = Array.length plans in
-  let m = Box.dim box in
-  if Vec.dim a <> m then
-    invalid_arg "Framework.worst_case_gtc: dimension mismatch";
-  Array.iter
-    (fun p ->
-      if Vec.dim p <> m then
-        invalid_arg "Framework.worst_case_gtc: dimension mismatch")
-    plans;
-  let check_nonneg v =
-    Array.iter
-      (fun x ->
-        if x < 0. then invalid_arg "Framework.worst_case_gtc: negative component")
-      v
-  in
-  check_nonneg a;
-  Array.iter check_nonneg plans;
-  let nv = 1 lsl m in
-  let verts = Array.init nv (Box.vertex box) in
-  let nums = Array.map (Vec.dot a) verts in
-  let eval lo hi =
-    let best = ref neg_infinity and witness = ref None and degen = ref 0 in
-    for pi = lo to hi - 1 do
-      let pbest = ref neg_infinity and pk = ref (-1) in
-      for k = 0 to nv - 1 do
-        (* qsens-check: disable=C001 — [den] is a read-only cost evaluator supplied by the caller *)
-        let r = nums.(k) /. den pi verts.(k) in
-        if r > !pbest then begin
-          pbest := r;
-          pk := k
-        end
-      done;
-      (* Every vertex ratio NaN means plan and numerator both vanish
-         everywhere — the fractional path's degenerate case. *)
-      if !pk < 0 then incr degen
-      else if !pbest > !best then begin
-        best := !pbest;
-        witness := Some verts.(!pk)
-      end
-    done;
-    (!best, !witness, !degen)
-  in
-  let best, witness, degen =
-    match pool with
-    | Some p when Qsens_parallel.Pool.domains p > 1 && np > 1 ->
-        Qsens_parallel.Pool.map_reduce p ~n:np ~map:eval
-          ~reduce:(fun (b1, w1, d1) (b2, w2, d2) ->
-            if b2 > b1 then (b2, w2, d1 + d2) else (b1, w1, d1 + d2))
-          ~init:(neg_infinity, None, 0)
-    | _ -> eval 0 np
-  in
-  Obs.add m_degenerate_ratios degen;
-  match witness with
-  | Some w -> (best, w)
-  | None -> ((if degen > 0 then nan else best), Box.center box)
-
-let worst_case_gtc_naive ?pool ~plans ~a box =
-  if Array.length plans = 0 then
-    invalid_arg "Framework.worst_case_gtc: no plans";
-  worst_case_gtc_vertices ?pool ~plans ~a box
-    ~den:(fun pi v -> Vec.dot plans.(pi) v)
-
-let worst_case_gtc ?pool ~plans ~a box =
-  if Array.length plans = 0 then
-    invalid_arg "Framework.worst_case_gtc: no plans";
-  if Box.dim box <= vertex_max_dim then begin
-    let mat = Kernel.pack plans in
-    worst_case_gtc_vertices ?pool ~plans ~a box
-      ~den:(fun pi v -> Kernel.dot_row mat pi v)
-  end
-  else worst_case_gtc_fractional ?pool ~plans ~a box

@@ -15,9 +15,6 @@ val relative_cost : a:Vec.t -> b:Vec.t -> costs:Vec.t -> float
     expensive plan [a] is compared to plan [b] under [C].  Unitless, and
     invariant under scaling of [C] (Observation 1). *)
 
-val optimal_cost : plans:Vec.t array -> costs:Vec.t -> float
-(** Cost of the cheapest plan of the set under [C]. *)
-
 val optimal_index : plans:Vec.t array -> costs:Vec.t -> int
 (** Index of the cheapest plan (lowest index on ties). *)
 
@@ -31,47 +28,24 @@ val equicost : a:Vec.t -> b:Vec.t -> costs:Vec.t -> bool
 (** Whether [costs] lies on the switchover plane of the two plans
     (Section 4.2), up to relative tolerance. *)
 
-val worst_case_gtc :
-  ?pool:Qsens_parallel.Pool.t ->
-  plans:Vec.t array ->
-  a:Vec.t ->
-  Qsens_geom.Box.t ->
-  float * Vec.t
-(** [worst_case_gtc ~plans ~a box] —
-    the maximum of [GTC_rel(a, .)] over the feasible cost region, with an
-    attaining cost vector.  Computed as [max_b max_C (A . C) / (B . C)];
-    by Observation 2 the maximum is attained at a vertex of the region,
-    and the returned vector is such a vertex.
-
-    Up to 10 dimensions the maximization enumerates the box vertices with
-    a packed plan matrix ({!Qsens_linalg.Kernel}) — exact, and
-    bit-identical to {!worst_case_gtc_naive}; beyond that it falls back to
-    {!worst_case_gtc_fractional}.  Requires nonnegative [plans] and [a]
-    on the vertex path.
-
-    With [?pool] the per-plan maximizations run across domains; the
-    argmax reduction breaks ties by lowest plan index, so the result is
-    identical to the sequential run. *)
-
-val worst_case_gtc_naive :
-  ?pool:Qsens_parallel.Pool.t ->
-  plans:Vec.t array ->
-  a:Vec.t ->
-  Qsens_geom.Box.t ->
-  float * Vec.t
-(** The vertex-enumeration maximization with per-plan {!Vec.dot} instead
-    of the packed kernel — the bit-identity reference for
-    {!worst_case_gtc} on dimensions the kernel handles.  Same argmax,
-    tie-breaking and degenerate (NaN) semantics. *)
-
 val worst_case_gtc_fractional :
   ?pool:Qsens_parallel.Pool.t ->
   plans:Vec.t array ->
   a:Vec.t ->
   Qsens_geom.Box.t ->
   float * Vec.t
-(** The pre-kernel path: each inner maximization a linear-fractional
-    program over the box (see {!Qsens_geom.Fractional}).  Kept as the
-    high-dimension fallback and as the honest baseline for the sweep
-    benchmark.  Converges to the vertex maximum within the bisection
-    tolerance but is not bit-identical to the vertex paths. *)
+(** [worst_case_gtc_fractional ~plans ~a box] — the maximum of
+    [GTC_rel(a, .)] over the box, with an attaining corner: one
+    linear-fractional program per plan (see {!Qsens_geom.Fractional}),
+    reduced by strict improvement in plan-index order.  A plan whose
+    ratio is NaN (numerator and denominator zero everywhere) is skipped
+    and counted in [wc.degenerate_ratios]; when every plan is, the
+    answer is NaN with the box centre as witness.
+
+    This is the one linear-fractional argmax: the worst-case dispatcher
+    runs it past the branch-and-bound gate and wherever a search trips
+    its node budget.  It converges to the vertex maximum of
+    Observation 2 within the bisection tolerance but is not
+    bit-identical to the vertex engines.  With [?pool] the per-plan
+    programs run across domains and the result is identical to the
+    sequential run.  Raises [Invalid_argument] on an empty plan set. *)

@@ -1,10 +1,10 @@
 (** Dimension gates for the worst-case vertex machinery.
 
-    Both the exhaustive subset-sum tables ({!Sweep}) and the packed
-    vertex enumeration ({!Framework}) pay [2^dim]; the branch-and-bound
-    search ({!Sweep.Bnb}) prunes that exponential and extends the exact
-    path well past the table gate.  Every dispatcher derives its cutoff
-    from these constants — they are the single source of truth.
+    The exhaustive subset-sum tables ({!Sweep}) pay [2^dim]; the
+    branch-and-bound search ({!Sweep.Bnb}) prunes that exponential and
+    extends the exact path well past the table gate.  Every dispatcher
+    derives its cutoff from these constants — they are the single
+    source of truth.
 
     The branch-and-bound gate is {e not} a quality cliff: its search
     state is [O(dim)], so the only hard wall is pattern bits in an
@@ -13,9 +13,9 @@
     {!default_bnb_node_budget} and {!Worst_case.curve_with_path}. *)
 
 val exhaustive_max_dim : int
-(** Largest dimension the [2^dim]-table / full-enumeration paths accept
-    (currently 12).  Doubles per dimension: past this the exhaustive
-    paths stop paying. *)
+(** Largest dimension the [2^dim]-table path accepts (currently 12).
+    Doubles per dimension: past this the exhaustive tables stop
+    paying. *)
 
 val bnb_max_dim : int
 (** Largest dimension the branch-and-bound vertex search accepts:

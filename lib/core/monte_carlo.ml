@@ -99,10 +99,3 @@ let gtc_distribution ?(seed = 97) ?(samples = 10_000) ?pool ?budget ~plans
     max_seen = values.(samples - 1);
     still_optimal = Float.of_int !optimal /. Float.of_int samples;
   }
-
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "@[<v>samples          %d@,mean GTC         %.4g@,median           \
-     %.4g@,p90              %.4g@,p99              %.4g@,max sampled      \
-     %.4g@,still optimal    %.1f%%@]"
-    s.samples s.mean s.p50 s.p90 s.p99 s.max_seen (100. *. s.still_optimal)

@@ -51,5 +51,3 @@ val gtc_distribution :
     from the sequential stream but is a function of
     [(seed, samples, D)] only — reproducible regardless of
     scheduling. *)
-
-val pp_summary : Format.formatter -> summary -> unit

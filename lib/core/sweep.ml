@@ -4,8 +4,8 @@ module Obs = Qsens_obs.Obs
 module Vertex_enum = Qsens_geom.Vertex_enum
 module Budget = Qsens_budget.Budget
 
-(* Same name as in Framework / Worst_case: registration is idempotent,
-   all sites feed one counter. *)
+(* Same name as in Framework: registration is idempotent, both sites
+   feed one counter. *)
 let m_degenerate_ratios =
   Obs.counter
     ~help:"degenerate (NaN) plan ratios skipped in worst-case argmax"

@@ -4,13 +4,6 @@ module Pool = Qsens_parallel.Pool
 module Obs = Qsens_obs.Obs
 module Budget = Qsens_budget.Budget
 
-(* Same name as in Framework: registration is idempotent, both sites feed
-   one counter. *)
-let m_degenerate_ratios =
-  Obs.counter
-    ~help:"degenerate (NaN) plan ratios skipped in worst-case argmax"
-    "wc.degenerate_ratios"
-
 let m_curve_points = Obs.counter ~help:"worst-case curve points" "wc.curve_points"
 
 let m_budget_fallbacks =
@@ -85,8 +78,9 @@ let curve_naive ?(deltas = default_deltas) ?pool ~plans ~initial () =
     deltas
 
 (* ------------------------------------------------------------------ *)
-(* Legacy single-point evaluation, needed below as the budget-exhaustion
-   fallback: one linear-fractional program per plan. *)
+(* Linear-fractional single-point evaluation: the budget-exhaustion
+   fallback below and the whole answer past the branch-and-bound gate.
+   One program per plan, through Framework's argmax. *)
 
 let gtc_at_full_legacy ?pool ~plans ~initial delta =
   let box = Box.around (ones_center ~initial) ~delta in
@@ -147,61 +141,18 @@ let curve_bnb ?node_budget ~deltas ?pool ~plans ~initial () =
   (Array.to_list results, fallbacks)
 
 (* ------------------------------------------------------------------ *)
-(* Legacy path: a linear-fractional program per (plan, delta) cell.
+(* Legacy path: the single-point fallback mapped over the grid.
    High-dimension fallback, and the pre-kernel baseline the sweep
-   benchmark reports speedups against. *)
+   benchmark reports speedups against.  With [?pool] each point's
+   per-plan programs run across domains. *)
 
 let curve_legacy ?(deltas = default_deltas) ?pool ~plans ~initial () =
-  let np = Array.length plans in
-  match pool with
-  | Some p when Pool.domains p > 1 && np > 0 && deltas <> [] ->
-      (* Parallelize over the flattened plans x deltas space: every
-         (delta, plan) cell is an independent linear-fractional program.
-         The per-delta argmax then reduces in plan-index order, so each
-         point is bit-identical to the sequential computation. *)
-      let center = ones_center ~initial in
-      let darr = Array.of_list deltas in
-      let nd = Array.length darr in
-      let boxes = Array.map (fun delta -> Box.around center ~delta) darr in
-      let results = Array.make (nd * np) (neg_infinity, [||]) in
-      Pool.parallel_for_chunked p ~n:(nd * np) (fun lo hi ->
-          for t = lo to hi - 1 do
-            let di = t / np and pi = t mod np in
-            (* qsens-lint: disable=P001; qsens-check: disable=C001 — chunks cover disjoint index ranges *)
-            results.(t) <-
-              Fractional.max_ratio ~num:initial ~den:plans.(pi) boxes.(di)
-          done);
-      List.init nd (fun di ->
-          (* Mirrors [Framework.worst_case_gtc]: NaN ratios are counted
-             and skipped, and an all-degenerate point surfaces NaN with
-             the box center as witness — never a stale default paired
-             with neg_infinity. *)
-          let best = ref neg_infinity and witness = ref None and degen = ref 0 in
-          for pi = 0 to np - 1 do
-            let r, corner = results.((di * np) + pi) in
-            if Float.is_nan r then incr degen
-            else if r > !best then begin
-              best := r;
-              witness := Some corner
-            end
-          done;
-          Obs.add m_degenerate_ratios !degen;
-          Obs.add m_curve_points 1;
-          match !witness with
-          | Some w -> { delta = darr.(di); gtc = !best; witness = w }
-          | None ->
-              {
-                delta = darr.(di);
-                gtc = (if !degen > 0 then nan else !best);
-                witness = Box.center boxes.(di);
-              })
-  | _ ->
-      List.map
-        (fun delta ->
-          let gtc, witness = gtc_at_full_legacy ~plans ~initial delta in
-          Obs.add m_curve_points 1;
-          { delta; gtc; witness })
-        deltas
+  List.map
+    (fun delta ->
+      let gtc, witness = gtc_at_full_legacy ?pool ~plans ~initial delta in
+      Obs.add m_curve_points 1;
+      { delta; gtc; witness })
+    deltas
 
 (* ------------------------------------------------------------------ *)
 (* Dispatchers. *)
@@ -250,9 +201,7 @@ let gtc_at_full ?pool ?(node_budget = Limits.default_bnb_node_budget) ~plans
         Obs.add m_budget_fallbacks 1;
         gtc_at_full_legacy ~plans ~initial delta
   end
-  else
-    let box = Box.around (ones_center ~initial) ~delta in
-    Framework.worst_case_gtc ?pool ~plans ~a:initial box
+  else gtc_at_full_legacy ?pool ~plans ~initial delta
 
 let gtc_at ?pool ~plans ~initial delta =
   fst (gtc_at_full ?pool ~plans ~initial delta)

@@ -3,10 +3,6 @@ open Qsens_linalg
 
 type scheme = Per_resource | Per_device
 
-let scheme_name = function
-  | Per_resource -> "per-resource"
-  | Per_device -> "per-device"
-
 type t = {
   space : Space.t;
   names : string array;

@@ -27,8 +27,6 @@ type scheme =
       (** one parameter per device (seek and transfer scale together,
           Figures 6 and 7); CPU is its own parameter *)
 
-val scheme_name : scheme -> string
-
 type t
 
 val make : scheme -> Space.t -> t

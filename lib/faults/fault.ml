@@ -238,8 +238,6 @@ type injector = {
 let injector plan =
   { plan; counters = Hashtbl.create 8; events = []; latency_total = 0. }
 
-let injector_plan inj = inj.plan
-
 let tick inj site =
   match Hashtbl.find_opt inj.counters site with
   | Some r ->

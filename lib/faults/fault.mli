@@ -94,7 +94,6 @@ type event = { site : string; index : int; effect : effect }
 type injector
 
 val injector : plan -> injector
-val injector_plan : injector -> plan
 
 val apply :
   injector -> site:string -> float -> (float, [ `Failed | `Timed_out ]) result

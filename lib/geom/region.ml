@@ -25,8 +25,6 @@ let interior_point ?(margin = 1e-9) r =
   let shrunk = List.map (Halfspace.shift margin) r.switchovers in
   Simplex.feasible_in_box r.feasible shrunk
 
-let is_empty r = Option.is_none (interior_point ~margin:0. r)
-
 let vertices ?max_subsets r =
   Vertex_enum.vertices ?max_subsets (halfspaces r)
 

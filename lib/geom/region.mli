@@ -32,8 +32,6 @@ val interior_point : ?margin:float -> t -> Vec.t option
     [1e-9]); [None] when the (shrunken) region is empty.  Uses the simplex
     solver. *)
 
-val is_empty : t -> bool
-
 val vertices : ?max_subsets:int -> t -> Vec.t list
 (** Vertices via {!Vertex_enum.vertices}; raises {!Vertex_enum.Too_large}
     in high dimension. *)

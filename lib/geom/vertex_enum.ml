@@ -466,9 +466,22 @@ module Bnb = struct
     for si = 0 to Array.length specs - 1 do
       let s = specs.(si) in
       let dim = s.dim and wn = s.wn and wd = s.wd in
-      if s.identical || dim = 0 || collapsed then begin
-        (* One leaf: every pattern shares its value bitwise, or the box
-           is its center (delta = 1).  Pattern 0 is the tie-winner. *)
+      (* Every product in the bound and the leaves stays normal and
+         finite while the weight sums times delta are at most 2^1020
+         and the smallest positive weight over delta at least 2^-1020:
+         the range where section 20's rounding argument holds.  NaN
+         weights fail the first test. *)
+      let prunes =
+        s.sum_max *. delta <= 0x1p1020 && s.pos_min *. inv >= 0x1p-1020
+      in
+      if (s.identical && prunes) || dim = 0 || collapsed then begin
+        (* One leaf: the box is its center (delta = 1), or the weights
+           are bitwise equal and in range.  Then every leaf divides a
+           float by itself, and no product underflows, so the leaves
+           are all 1 or (all weights zero) all NaN.  Out of range one
+           pattern's products can underflow to 0/0 while another's do
+           not, so such a spec is scanned.  Pattern 0 is the
+           tie-winner. *)
         Budget.spend_opt budget ~who:"Vertex_enum.Bnb" 1;
         stats.nodes <- stats.nodes + 1;
         stats.leaves <- stats.leaves + 1;
@@ -494,16 +507,8 @@ module Bnb = struct
         and nlam = stack.nlam
         and dlam = stack.dlam
         and pinned = s.pinned in
-        (* Every product in the bound and the leaves stays normal and
-           finite while the weight sums times delta are at most 2^1020
-           and the smallest positive weight over delta at least
-           2^-1020: the range where section 20's rounding argument
-           holds.  NaN weights fail the first test.  Out of range,
-           [lambda] stays -inf and no test prunes: [-inf] times a
-           nonnegative or NaN sum is never above a bound. *)
-        let prunes =
-          s.sum_max *. delta <= 0x1p1020 && s.pos_min *. inv >= 0x1p-1020
-        in
+        (* Out of range, [lambda] stays -inf and no test prunes: [-inf]
+           times a nonnegative or NaN sum is never above a bound. *)
         let lambda = ref (if prunes then !best else neg_infinity) in
         Float.Array.unsafe_set stack.lambda 0 !lambda;
         fill_lambda stack s ~delta;

@@ -76,8 +76,9 @@ module Bnb : sig
       records what the search derives from them once: coordinates whose
       weights are both bitwise [+0.] are inert, never branched and fixed
       to the cleared bit (the tie-winning lower pattern); when the two
-      weight arrays are bitwise equal, every leaf has pattern 0's value
-      and only pattern 0 — the tie-winner — is evaluated.  Raises
+      weight arrays are bitwise equal and the spec is in the range where
+      {!search} prunes, every leaf has pattern 0's value and only
+      pattern 0 — the tie-winner — is evaluated.  Raises
       [Invalid_argument] if the lengths differ or exceed
       [Sys.int_size - 2]. *)
 

@@ -156,8 +156,3 @@ let dot_rows t x =
   let out = Array.make t.rows 0. in
   matvec t x out;
   out
-
-let dot_rows_into t x scratch =
-  let out = Scratch.ensure scratch t.rows in
-  matvec_into t x out;
-  out

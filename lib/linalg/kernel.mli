@@ -81,8 +81,3 @@ val dot_rows : t -> Vec.t -> float array
     bit-identical to [dot_row t i x].  The plan-selection paths
     ({!Qsens_core.Select}) evaluate all candidate expected costs with a
     single call. *)
-
-val dot_rows_into : t -> Vec.t -> Scratch.t -> floatarray
-(** [dot_rows_into t x s] is {!dot_rows} into the scratch's buffer
-    (returned; length may exceed [rows t]) — zero allocation once the
-    scratch has warmed up to [rows t]. *)

@@ -60,9 +60,6 @@ let dot_sub_fa a pos len x =
   done;
   !acc
 
-let of_floatarray fa = Array.init (Float.Array.length fa) (Float.Array.get fa)
-let to_floatarray a = Float.Array.init (Array.length a) (Array.get a)
-
 let map2_named name f a b =
   check_dims name a b;
   Array.init (Array.length a) (fun i -> f a.(i) b.(i))

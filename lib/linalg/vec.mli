@@ -58,11 +58,6 @@ val dot_sub_fa : floatarray -> int -> int -> t -> float
     copy of the slice.  Backs the unboxed plan matrices of
     [Qsens_linalg.Kernel]. *)
 
-val of_floatarray : floatarray -> t
-
-val to_floatarray : t -> floatarray
-(** Boxed/unboxed bridges; both copy. *)
-
 val add : t -> t -> t
 
 val sub : t -> t -> t

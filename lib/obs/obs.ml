@@ -310,9 +310,6 @@ let write_trace path =
    records for the major figure allocate on the minor heap, so they are
    read strictly outside the [minor_words] bracket — the minor delta is
    then exactly what [f] allocated. *)
-let alloc_counters () =
-  (Gc.minor_words (), (Gc.quick_stat ()).Gc.major_words)
-
 let raw_measure f =
   let j0 = (Gc.quick_stat ()).Gc.major_words in
   let m0 = Gc.minor_words () in

@@ -67,12 +67,6 @@ val bucket_hi : int -> float
     measure minor-heap words per grid point with these, independent of
     the recording flag. *)
 
-val alloc_counters : unit -> float * float
-(** [(minor_words, major_words)] allocated by this domain since program
-    start.  Minor comes from [Gc.minor_words] — the exact, unboxed
-    counter; [Gc.counters]' minor figure is sampled and under-reports —
-    and major from [Gc.quick_stat] (includes promoted). *)
-
 val measure_alloc : n:int -> (unit -> 'a) -> 'a * float * float
 (** [measure_alloc ~n f] runs [f] once and returns
     [(result, minor words / n, major words / n)] — allocation attributed

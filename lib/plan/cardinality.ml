@@ -50,5 +50,3 @@ and compute t aliases =
     (fun acc j -> acc *. join_selectivity t j)
     rows internal_edges
 
-let matches_per_probe t ~outer:_ ~inner j =
-  base_rows t inner *. join_selectivity t j

@@ -27,7 +27,3 @@ val join_selectivity : t -> Query.join -> float
 val of_aliases : t -> string list -> float
 (** Estimated row count of the join over the given aliases. *)
 
-val matches_per_probe : t -> outer:string list -> inner:string -> Query.join -> float
-(** Expected rows fetched from [inner] per outer row when probing through
-    the single edge [join] (before applying [inner]'s local predicates and
-    any other connecting edges): [base_rows inner * join_selectivity]. *)

@@ -2,5 +2,4 @@
     flag): one row per metric that recorded data, merged across tracks in
     deterministic order. *)
 
-val summary_table : unit -> Table.t
 val print : ?out:out_channel -> unit -> unit

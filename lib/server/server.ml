@@ -159,8 +159,6 @@ let create ?(config = default_config) ?pool ?faults () =
   | None -> ());
   t
 
-let stopping t = t.stopping
-
 let breaker_for t op =
   match Hashtbl.find_opt t.breakers op with
   | Some b -> b

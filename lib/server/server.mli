@@ -73,9 +73,6 @@ val handle_line : t -> string -> string
 (** Parse, {!handle}, render.  Total, and the response is a single
     line. *)
 
-val stopping : t -> bool
-(** Set once a [shutdown] request has been answered. *)
-
 val save_snapshot : t -> string -> unit
 (** Marshal the candidates/sweep/bnb caches (oldest-first, so reload
     preserves recency) to [path] via write-to-temp + [Sys.rename].

@@ -357,11 +357,3 @@ let run cfg =
     mismatches = List.rev st.bad;
     alive;
   }
-
-let pp_outcome ppf o =
-  Format.fprintf ppf
-    "@[<v>soak: %d responses (%d ok, %d degraded, %d shed, %d errors), %d \
-     verified bit-identical, %d mismatches, %s@]"
-    o.total o.ok o.degraded o.shed o.errors o.verified
-    (List.length o.mismatches)
-    (if o.alive then "server alive" else "SERVER DEAD")

@@ -96,5 +96,3 @@ val select_reference_line :
     {!Server.select_points_json} string of a fresh
     setup/discover/{!Qsens_core.Select.curve} run.  Non-degraded
     [select] responses must match it bit-for-bit. *)
-
-val pp_outcome : Format.formatter -> outcome -> unit

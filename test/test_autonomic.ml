@@ -1,4 +1,4 @@
-(* Tests for the robust-selection and calibration modules. *)
+(* Tests for minimax plan selection and the calibration module. *)
 
 open Qsens_core
 open Qsens_linalg
@@ -6,46 +6,47 @@ open Qsens_linalg
 let check_float = Alcotest.(check (float 1e-6))
 
 (* ------------------------------------------------------------------ *)
-(* Robust *)
+(* Minimax selection (Select) and its nominal penalty *)
+
+(* Plan [i]'s cost at the estimated costs (the all-ones point) relative
+   to the classic choice's. *)
+let nominal_penalty plans (p : Select.point) i =
+  Framework.relative_cost ~a:plans.(i) ~b:plans.(p.classic)
+    ~costs:(Vec.make (Vec.dim plans.(0)) 1.)
 
 let test_minimax_prefers_balanced () =
   (* Two fragile complementary plans and one balanced plan: the balanced
      plan is never nominal-optimal but bounds the worst case. *)
   let plans = [| [| 1.; 100. |]; [| 100.; 1. |]; [| 60.; 60. |] |] in
-  let nominal = Robust.nominal ~plans in
-  Alcotest.(check bool) "nominal picks a fragile plan" true
-    (nominal.Robust.index <> 2);
-  let mm = Robust.minimax ~plans ~delta:1000. in
-  Alcotest.(check int) "minimax picks the balanced plan" 2 mm.Robust.index;
+  let p = Select.select ~plans ~delta:1000. () in
+  Alcotest.(check bool) "nominal picks a fragile plan" true (p.classic <> 2);
+  Alcotest.(check int) "minimax picks the balanced plan" 2 p.minimax;
   (* The balanced plan's worst case is its Theorem-2 element ratio cap. *)
-  Alcotest.(check bool) "worst gtc bounded" true (mm.Robust.worst_gtc < 100.);
-  let nominal_scored =
-    Robust.evaluate ~plans ~index:nominal.Robust.index ~delta:1000.
-  in
+  Alcotest.(check bool) "worst gtc bounded" true (p.regret.(p.minimax) < 100.);
   (* The fragile plan's worst case is its element-ratio cap (100); the
      balanced plan's is 60: a strict improvement, tight by Theorem 2. *)
   Alcotest.(check bool) "fragile plan strictly worse" true
-    (nominal_scored.Robust.worst_gtc > 1.5 *. mm.Robust.worst_gtc)
+    (p.regret.(p.classic) > 1.5 *. p.regret.(p.minimax))
 
 let test_minimax_agrees_when_safe () =
   (* Proportional plans: the nominal optimum is also minimax. *)
   let plans = [| [| 1.; 2. |]; [| 2.; 4. |] |] in
-  let mm = Robust.minimax ~plans ~delta:100. in
-  Alcotest.(check int) "same choice" 0 mm.Robust.index;
-  check_float "gtc 1" 1. mm.Robust.worst_gtc;
-  check_float "no penalty" 1. mm.Robust.nominal_penalty
+  let p = Select.select ~plans ~delta:100. () in
+  Alcotest.(check int) "same choice" 0 p.minimax;
+  check_float "gtc 1" 1. p.regret.(p.minimax);
+  check_float "no penalty" 1. (nominal_penalty plans p p.minimax)
 
 let test_minimax_penalty_accounting () =
   let plans = [| [| 1.; 100. |]; [| 60.; 60. |] |] in
-  let c = Robust.evaluate ~plans ~index:1 ~delta:10. in
+  let p = Select.select ~plans ~delta:10. () in
   (* Nominal costs: plan0 = 101, plan1 = 120. *)
-  check_float "penalty" (120. /. 101.) c.Robust.nominal_penalty
+  check_float "penalty" (120. /. 101.) (nominal_penalty plans p 1)
 
 let test_minimax_single_plan () =
   let plans = [| [| 3.; 4. |] |] in
-  let mm = Robust.minimax ~plans ~delta:100. in
-  Alcotest.(check int) "only plan" 0 mm.Robust.index;
-  check_float "gtc 1" 1. mm.Robust.worst_gtc
+  let p = Select.select ~plans ~delta:100. () in
+  Alcotest.(check int) "only plan" 0 p.minimax;
+  check_float "gtc 1" 1. p.regret.(p.minimax)
 
 (* Property: the minimax value never exceeds the nominal plan's
    worst-case GTC. *)
@@ -58,12 +59,8 @@ let prop_minimax_improves =
     (QCheck.make gen)
     (fun plan_list ->
       let plans = Array.of_list plan_list in
-      let nominal = Robust.nominal ~plans in
-      let scored =
-        Robust.evaluate ~plans ~index:nominal.Robust.index ~delta:100.
-      in
-      let mm = Robust.minimax ~plans ~delta:100. in
-      mm.Robust.worst_gtc <= scored.Robust.worst_gtc +. 1e-9)
+      let p = Select.select ~plans ~delta:100. () in
+      p.regret.(p.minimax) <= p.regret.(p.classic) +. 1e-9)
 
 (* ------------------------------------------------------------------ *)
 (* Calibrate *)

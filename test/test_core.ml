@@ -43,8 +43,7 @@ let test_equicost () =
 let test_worst_case_gtc_example1 () =
   (* Example 1: complementary unit plans reach exactly delta^2. *)
   let plans = [| [| 1.; 0. |]; [| 0.; 1. |] |] in
-  let box = Box.around [| 1.; 1. |] ~delta:10. in
-  let gtc, witness = Framework.worst_case_gtc ~plans ~a:plans.(0) box in
+  let gtc, witness = Worst_case.gtc_at_full ~plans ~initial:plans.(0) 10. in
   check_float "delta^2" 100. gtc;
   Alcotest.(check bool) "witness is a vertex" true
     (Array.for_all
@@ -88,10 +87,9 @@ let test_theorem2_bound_respected () =
      for non-complementary plan sets. *)
   let plans = [| [| 4.; 1.; 2. |]; [| 1.; 2.; 2. |]; [| 2.; 2.; 1. |] |] in
   let bound = Bounds.theorem2_bound plans in
-  let box = Box.around [| 1.; 1.; 1. |] ~delta:1e6 in
   Array.iter
-    (fun a ->
-      let gtc, _ = Framework.worst_case_gtc ~plans ~a box in
+    (fun initial ->
+      let gtc = Worst_case.gtc_at ~plans ~initial 1e6 in
       Alcotest.(check bool) "gtc <= bound" true (gtc <= bound +. 1e-6))
     plans
 

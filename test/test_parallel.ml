@@ -242,18 +242,6 @@ let prop_vertices_parallel =
       && List.for_all2 same_vec seq par2
       && List.for_all2 same_vec seq par3)
 
-let prop_worst_case_gtc_parallel =
-  QCheck.Test.make ~count:60 ~name:"worst_case_gtc: parallel == sequential"
-    (QCheck.make (gen_plans ~dim_lo:2 ~dim_hi:6 ~plans_lo:2 ~plans_hi:12))
-    (fun (plans, delta) ->
-      let m = Array.length plans.(0) in
-      let box = Box.around (Vec.make m 1.) ~delta in
-      let g_seq, w_seq = Framework.worst_case_gtc ~plans ~a:plans.(0) box in
-      let g_par, w_par =
-        Framework.worst_case_gtc ~pool:pool2 ~plans ~a:plans.(0) box
-      in
-      g_seq = g_par && same_vec w_seq w_par)
-
 let prop_curve_parallel =
   (* Identical (delta, gtc) pairs AND identical witnesses: the per-delta
      argmax ties break by lowest plan index in both paths. *)
@@ -388,7 +376,7 @@ let test_monte_carlo_one_domain_matches_sequential () =
 let () =
   let props =
     List.map QCheck_alcotest.to_alcotest
-      [ prop_vertices_parallel; prop_worst_case_gtc_parallel;
+      [ prop_vertices_parallel;
         prop_curve_parallel; prop_curve_parallel_degenerate ]
   in
   Alcotest.run "parallel"
