@@ -50,8 +50,10 @@ let drift_trace ?(seed = 3) ~dim ~horizon ?(drift = 0.05)
             (Float.max (1. /. max_delta) (exp (log_theta.(d) +. spike.(d))))))
 
 let simulate ~plans ~trace policy =
-  if Array.length plans = 0 then invalid_arg "Adaptive.simulate: no plans";
-  if Array.length trace = 0 then invalid_arg "Adaptive.simulate: empty trace";
+  if Array.length plans = 0 then
+    invalid_arg "Adaptive.compare_policies: no plans";
+  if Array.length trace = 0 then
+    invalid_arg "Adaptive.compare_policies: empty trace";
   let m = Vec.dim trace.(0) in
   let ones = Vec.make m 1. in
   let current = ref (Framework.optimal_index ~plans ~costs:ones) in

@@ -129,6 +129,23 @@ let prop_select_bits_degenerate =
           ~degenerate:true))
     selection_property
 
+(* Subnormal, zero and near-overflow weights: the branch-and-bound tier
+   must still return the exhaustive tier's selections bit for bit,
+   including where a candidate's spec against itself leaves the range
+   in which the search prunes. *)
+let prop_select_bits_adversarial =
+  QCheck.Test.make ~count:200
+    ~name:"select: exhaustive == bnb, adversarial magnitudes"
+    (QCheck.make
+       ~print:(fun (plans, deltas) -> Adversarial.print_case plans deltas)
+       QCheck.Gen.(
+         pair (Adversarial.gen_plans ~dim_hi:5 ~plans_hi:6)
+           Adversarial.gen_deltas))
+    (fun (plans, deltas) ->
+      same_points
+        (fst (Select.curve ~deltas ~engine:`Exhaustive ~plans ()))
+        (fst (Select.curve ~deltas ~engine:`Bnb ~plans ())))
+
 let test_dim12_tiers () =
   (* The top of the exhaustive gate: both tiers are defined, so their
      selections must agree bitwise — the largest case the qcheck
@@ -369,6 +386,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_select_bits;
           QCheck_alcotest.to_alcotest prop_select_bits_degenerate;
+          QCheck_alcotest.to_alcotest prop_select_bits_adversarial;
           Alcotest.test_case "dim-12 tiers" `Quick test_dim12_tiers;
         ] );
       ( "reference",
