@@ -45,7 +45,15 @@ val optimize : ?max_bushy_side:int -> Env.t -> Query.t -> costs:Vec.t -> result
     comes before ["#96"]).  The final plan is the first strictly
     cheapest of {!Node.finalize_variants} over the full set's variants,
     in that order.  Costs steer the search only through these
-    comparisons. *)
+    comparisons.
+
+    {b Skipped candidates.}  A hash, block nested-loop or merge
+    candidate whose slot is taken is not costed when its children's
+    costs already show it cannot be strictly cheaper than the occupant
+    (DESIGN.md §17).  The skip only leaves out a comparison the
+    candidate would lose, so the result is the same, bit for bit.  It
+    still counts as an insertion attempt in [optimizer.memo_inserts];
+    [optimizer.pruned] counts the skips. *)
 
 val cost_of_plan : Node.t -> Vec.t -> float
 (** Re-cost an existing plan under different resource costs (the paper's

@@ -134,7 +134,18 @@ val finalize_variants : ctx -> t -> t list
     first.  A [Build] function must follow its fill function on the same
     inputs, and copies the vector into the node.  Both assume what the
     constructor would check: merge-join inputs sorted on the join's
-    columns, an index that serves the join edge, disjoint alias sets. *)
+    columns, an index that serves the join edge, disjoint alias sets.
+
+    {b Monotone usage.}  Every usage vector is componentwise [>= 0],
+    access paths' included.  A fill starts from its inputs' usage and
+    adds only non-negative charges, so, componentwise and in floating
+    point, {!Fill.hash_join}, {!Fill.merge_join} and {!Fill.block_nlj}
+    leave at least the rounded sum [fl(l + r)] of the usage they are
+    given (a block nested-loop join scans its inner [rescans >= 1]
+    times), and {!Fill.sort} at least its input's usage.  These three
+    joins return [l.width + r.width].  The optimizer's cost bound rests
+    on all of this (DESIGN.md §17); [test/test_plan.ml] checks it over
+    TPC-H and synthetic queries. *)
 
 module Fill : sig
   val block_nlj : ctx -> Vec.t -> outer:t -> inner:t -> int

@@ -386,6 +386,149 @@ let test_group_agg () =
   let s = Node.group_agg ctx ~hash:false ~groups:10. f in
   check_float "sorted groups" 10. s.Node.card
 
+(* ------------------------------------------------------------------ *)
+(* Monotone fills: the premise of the optimizer's cost bound *)
+
+module Synthetic = Qsens_workload.Synthetic
+module Vec = Qsens_linalg.Vec
+
+type workload = Tpch of string | Synth of Synthetic.topology * int
+
+let workload_name = function
+  | Tpch name -> name
+  | Synth (topology, tables) ->
+      Printf.sprintf "%s of %d tables" (Synthetic.topology_name topology) tables
+
+let tpch_sf = 100.
+let tpch_schema = Qsens_tpch.Spec.schema ~sf:tpch_sf
+
+let policies =
+  [| Layout.Same_device; Layout.Per_table_devices;
+     Layout.Per_table_and_index_devices |]
+
+let rec subtrees (p : Node.t) acc =
+  let acc = p :: acc in
+  match p.op with
+  | Access _ -> acc
+  | Block_nlj { outer = a; inner = b; _ }
+  | Hash_join { build = a; probe = b; _ }
+  | Merge_join { left = a; right = b } ->
+      subtrees a (subtrees b acc)
+  | Index_nlj { outer = a; _ } | Sort { input = a; _ } | Group_agg { input = a; _ }
+    ->
+      subtrees a acc
+
+(* [u] is componentwise at least [v]; NaN fails. *)
+let at_least what (u : Vec.t) (v : Vec.t) =
+  let ok = ref true in
+  Array.iteri (fun i x -> if not (u.(i) >= x) then ok := false) v;
+  !ok
+  || QCheck.Test.fail_reportf "%s: [%s] is not at least [%s]" what
+       (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") u)))
+       (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") v)))
+
+let sum (l : Vec.t) (r : Vec.t) = Array.map2 ( +. ) l r
+
+(* Every fill the optimizer bounds, on inputs [a] and [b] with disjoint
+   alias sets: a hash, block nested-loop and merge join is at least the
+   rounded sum of its inputs' usage, a sort at least its input's. *)
+let fills_dominate ctx dim (a : Node.t) (b : Node.t) =
+  let u = Vec.zero dim in
+  let sorted (v : Node.t) =
+    let s = Vec.zero dim in
+    Node.Fill.sort ctx s v;
+    s
+  in
+  let sa = sorted a and sb = sorted b in
+  let merge lu ru =
+    ignore (Node.Fill.merge_join ctx u ~left:a lu ~right:b ru : int);
+    at_least "merge join" u (sum lu ru)
+  in
+  at_least "sort" sa a.usage
+  && at_least "sort" sb b.usage
+  && (ignore (Node.Fill.hash_join ctx u ~build:a ~probe:b : int);
+      at_least "hash join" u (sum a.usage b.usage))
+  && (ignore (Node.Fill.block_nlj ctx u ~outer:a ~inner:b : int);
+      at_least "block nested-loop join" u (sum a.usage b.usage))
+  && merge a.usage b.usage
+  && merge sa sb
+
+let prop_fills_dominate =
+  let gen =
+    QCheck.Gen.(
+      triple
+        (oneof
+           [
+             map
+               (fun i -> Tpch (Printf.sprintf "Q%d" i))
+               (int_range 1 22);
+             map2
+               (fun topology tables -> Synth (topology, tables))
+               (oneofl Synthetic.all_topologies)
+               (int_range 3 7);
+           ])
+        (int_bound 2) (int_bound 1_000_000))
+  in
+  let print (w, policy, seed) =
+    Printf.sprintf "%s, %s, seed %d" (workload_name w)
+      (Layout.policy_name policies.(policy))
+      seed
+  in
+  QCheck.Test.make ~count:100 ~name:"fills dominate their inputs"
+    (QCheck.make ~print gen)
+    (fun (w, policy, seed) ->
+      let schema, q =
+        match w with
+        | Tpch name -> (tpch_schema, Qsens_tpch.Queries.find ~sf:tpch_sf name)
+        | Synth (topology, tables) ->
+            Synthetic.generate (Synthetic.default topology ~tables)
+      in
+      let env = Env.make ~schema ~policy:policies.(policy) () in
+      let dim = Space.dim env.Env.space in
+      let st = Random.State.make [| seed |] in
+      let costs =
+        Array.map
+          (fun c -> c *. Float.pow 10. (Random.State.float st 8. -. 4.))
+          (Defaults.base_costs env.Env.space)
+      in
+      let winner =
+        (Qsens_optimizer.Optimizer.optimize env q ~costs).plan
+      in
+      let ctx = Node.make_ctx env q in
+      let paths =
+        List.map
+          (fun (r : Query.relation) -> Node.access_paths ctx r.alias)
+          q.relations
+      in
+      let nonnegative (p : Node.t) =
+        at_least "usage" p.usage (Vec.zero dim)
+      in
+      let rec path_pairs = function
+        | [] -> true
+        | ps :: rest ->
+            List.for_all
+              (fun a ->
+                List.for_all
+                  (fun b ->
+                    fills_dominate ctx dim a b && fills_dominate ctx dim b a)
+                  (List.concat rest))
+              ps
+            && path_pairs rest
+      in
+      let join_children (p : Node.t) =
+        match p.op with
+        | Block_nlj { outer = a; inner = b; _ }
+        | Hash_join { build = a; probe = b; _ }
+        | Merge_join { left = a; right = b } ->
+            fills_dominate ctx dim a b && fills_dominate ctx dim b a
+        | _ -> true
+      in
+      let nodes = subtrees winner [] in
+      List.for_all (List.for_all nonnegative) paths
+      && path_pairs paths
+      && List.for_all nonnegative nodes
+      && List.for_all join_children nodes)
+
 let () =
   Alcotest.run "plan"
     [
@@ -425,4 +568,5 @@ let () =
           Alcotest.test_case "finalize variants" `Quick test_finalize_variants;
           Alcotest.test_case "index levels" `Quick test_index_levels_grow;
         ] );
+      ("fill", [ QCheck_alcotest.to_alcotest prop_fills_dominate ]);
     ]
