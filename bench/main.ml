@@ -1831,30 +1831,30 @@ let usage () =
     \                BENCH_parallel.json (refused by default)\n\
     \  --help, -h    show this message\n"
 
-(* Per-part observability: with --metrics, each part runs in a fresh
-   recording session; its wall time lands in a gauge and its counter
-   block is collected for BENCH_metrics.json.  Without the flag the
-   instrumentation stays disabled (allocation-free) so timings are
-   undisturbed. *)
+(* Every part prints its wall seconds when it ends.  With --metrics,
+   each part also runs in a fresh recording session; its wall time
+   lands in a gauge and its counter block is collected for
+   BENCH_metrics.json.  Without the flag the instrumentation stays
+   disabled (allocation-free) so timings are undisturbed. *)
 let metrics_on = ref false
 let part_blocks : (string * string) list ref = ref []
 
 let run_part part f =
+  let t0 = Clock.now_s () in
   if not !metrics_on then f ()
   else begin
     Obs.start ();
-    let t0 = Clock.now_s () in
     f ();
-    let dt = Clock.now_s () -. t0 in
     Obs.set
       (Obs.gauge ~help:"wall seconds for this bench part"
          (Printf.sprintf "bench.part.%s.seconds" part))
-      dt;
+      (Clock.now_s () -. t0);
     Obs.stop ();
     part_blocks := (part, Obs.metrics_json ()) :: !part_blocks;
     Printf.printf "\nmetrics for part %s:\n" part;
     Qsens_report.Metrics.print ()
-  end
+  end;
+  Printf.printf "\npart %s: %.1fs\n%!" part (Clock.now_s () -. t0)
 
 let write_metrics_json () =
   if !metrics_on then begin

@@ -78,13 +78,24 @@ let m_subsets =
 let m_skipped =
   Obs.counter ~help:"subsets a skip rule proved singular" "vertex_enum.skipped"
 
-let m_solved = Obs.counter ~help:"subsets solved" "vertex_enum.solved"
+let m_factored =
+  Obs.counter ~help:"classes of subsets factored once" "vertex_enum.factored"
+
+let m_solved =
+  Obs.counter ~help:"right-hand sides solved" "vertex_enum.solved"
+
+let m_resolved =
+  Obs.counter ~help:"facet choices re-solved directly" "vertex_enum.resolved"
+
 let m_vertices = Obs.counter ~help:"distinct vertices returned" "vertex_enum.vertices"
 
 (* The hyperplanes of one call, flattened once: normals row-major, one
    row per half-space, beside their offsets.  [skip] is the overflow
    gate of the skip rules; [nonzero] and [twin] are their per-row
-   tables, filled only when the gate holds. *)
+   tables, filled only when the gate holds.  Rows are walked in groups:
+   a row and the next one when the next is its exact opposite (a box
+   coordinate's [hi] and [lo] facets), otherwise the row alone.  Inside
+   the gate only; outside it every group is one row. *)
 type system = {
   n : int;
   count : int;
@@ -95,6 +106,9 @@ type system = {
       (** bit [j] set when the row's column [j] is not an exact zero *)
   twin : int array;
       (** lowest row equal or opposite to this one, or -1 if it has none *)
+  groups : int;
+  first : int array;  (** each group's first row, its representative *)
+  partner : int array;  (** the group's second row, [first + 1], or -1 *)
 }
 
 let system n arr =
@@ -122,6 +136,19 @@ let system n arr =
   done;
   let skip = !skip in
   let nonzero = Array.make count 0 and twin = Array.make count (-1) in
+  (* Rows [r] and [r'] equal ([sign] 1) or opposite ([sign] -1), entry
+     by entry under [Float.equal]. *)
+  let related sign r r' =
+    let ok = ref true and j = ref 0 in
+    while !ok && !j < n do
+      ok :=
+        Float.equal normals.((r * n) + !j)
+          (if sign > 0 then normals.((r' * n) + !j)
+           else -.normals.((r' * n) + !j));
+      incr j
+    done;
+    !ok
+  in
   if skip then begin
     for r = 0 to count - 1 do
       for j = 0 to n - 1 do
@@ -129,19 +156,6 @@ let system n arr =
           nonzero.(r) <- nonzero.(r) lor (1 lsl j)
       done
     done;
-    (* Rows [r] and [r'] equal ([sign] 1) or opposite ([sign] -1),
-       entry by entry under [Float.equal]. *)
-    let related sign r r' =
-      let ok = ref true and j = ref 0 in
-      while !ok && !j < n do
-        ok :=
-          Float.equal normals.((r * n) + !j)
-            (if sign > 0 then normals.((r' * n) + !j)
-             else -.normals.((r' * n) + !j));
-        incr j
-      done;
-      !ok
-    in
     for r = 0 to count - 1 do
       if twin.(r) < 0 then
         for r' = r + 1 to count - 1 do
@@ -152,45 +166,109 @@ let system n arr =
         done
     done
   end;
-  { n; count; normals; offsets; skip; nonzero; twin }
+  let first = Array.make count 0 and partner = Array.make count (-1) in
+  let groups = ref 0 and r = ref 0 in
+  while !r < count do
+    first.(!groups) <- !r;
+    if skip && !r + 1 < count && related (-1) !r (!r + 1) then begin
+      partner.(!groups) <- !r + 1;
+      r := !r + 2
+    end
+    else r := !r + 1;
+    incr groups
+  done;
+  { n; count; normals; offsets; skip; nonzero; twin; groups = !groups; first; partner }
 
-(* Per-task scratch: the augmented buffer, the solution, the subset's
-   row indices, and the twin-rule stamps (one tick per subset). *)
+(* Per-task scratch: the factored representative rows with their pivot
+   record, the right-hand side and solution, the augmented buffer of a
+   direct re-solve, the group subset with the positions of its pairs,
+   and the twin-rule stamps (one tick per group subset). *)
 type scratch = {
-  aug : float array;
+  lu : float array;
+  piv : int array;
+  rhs : float array;  (** the representatives' offsets *)
   x : float array;
+  aug : float array;
   idx : int array;
+  pairs : int array;
+  alt : float array;  (** each pair's partner offset, negated *)
   stamp : int array;
   mutable tick : int;
 }
 
 let scratch sys ~start =
   {
-    aug = Array.make (sys.n * (sys.n + 1)) 0.;
+    lu = Array.make (sys.n * sys.n) 0.;
+    piv = Array.make sys.n 0;
+    rhs = Array.make sys.n 0.;
     x = Array.make sys.n 0.;
-    idx = nth_subset sys.count sys.n start;
+    aug = Array.make (sys.n * (sys.n + 1)) 0.;
+    idx = nth_subset sys.groups sys.n start;
+    pairs = Array.make sys.n 0;
+    alt = Array.make sys.n 0.;
     stamp = Array.make sys.count 0;
     tick = 0;
   }
 
+(* What one range of group subsets yields. *)
+type tally = {
+  found : (int * float array) list;
+      (** feasible solutions, each with the rank of its row subset *)
+  covered : int;  (** row subsets in the classes factored *)
+  factored : int;
+  solved : int;
+  resolved : int;
+}
+
+(* The row that facet choice [mask] takes at position [i] of the group
+   subset in [sc.idx]: the group's partner when the position is the
+   [b]-th pair of the subset ([sc.pairs.(b) = i]) and bit [b] of [mask]
+   is set. *)
+let chosen_row sys sc ~mask i =
+  let g = sc.idx.(i) in
+  if sys.partner.(g) < 0 then sys.first.(g)
+  else begin
+    let b = ref 0 in
+    while sc.pairs.(!b) <> i do
+      incr b
+    done;
+    if mask land (1 lsl !b) <> 0 then sys.partner.(g) else sys.first.(g)
+  end
+
+(* The lexicographic rank, among all [n]-subsets of the rows, of the
+   subset facet choice [mask] takes: [C(count, n) - 1 - sum_i C(count -
+   1 - c_i, n - i)] over its ascending rows [c_i].  Every term is at
+   most [C(count, n)], so nothing overflows.  Called once per feasible
+   solution, never per subset. *)
+let rank sys sc ~mask =
+  let n = sys.n in
+  let acc = ref (count_subsets sys.count n - 1) in
+  for i = 0 to n - 1 do
+    let c = chosen_row sys sc ~mask i in
+    acc := !acc - count_subsets (sys.count - 1 - c) (n - i)
+  done;
+  !acc
+
 (* qsens-hot: begin *)
 
-(* True when [Mat.solve_in_place] provably raises [Singular] on the
-   subset in [sc.idx] (DESIGN.md section 18): some column is an exact
-   zero in every chosen row, or two chosen rows are equal or opposite.
+(* True when [Mat.solve_in_place] provably raises [Singular] on every
+   facet choice of the group subset in [sc.idx] (DESIGN.md section 18):
+   some column is an exact zero in every chosen row, or two chosen rows
+   are equal or opposite.  A group's rows share their zero columns and
+   their twin class, so the representatives decide for every choice.
    Only called when [sys.skip] holds. *)
 let provably_singular sys sc =
   let n = sys.n in
   let cols = ref 0 in
   for i = 0 to n - 1 do
-    cols := !cols lor sys.nonzero.(sc.idx.(i))
+    cols := !cols lor sys.nonzero.(sys.first.(sc.idx.(i)))
   done;
   if !cols <> (1 lsl n) - 1 then true
   else begin
     sc.tick <- sc.tick + 1;
     let twins = ref false and i = ref 0 in
     while (not !twins) && !i < n do
-      let c = sys.twin.(sc.idx.(!i)) in
+      let c = sys.twin.(sys.first.(sc.idx.(!i))) in
       if c >= 0 then
         if sc.stamp.(c) = sc.tick then twins := true else sc.stamp.(c) <- sc.tick;
       incr i
@@ -216,38 +294,101 @@ let feasible sys eps x =
   done;
   !ok
 
-(* The feasible solutions of [len] consecutive subsets from the one in
-   [sc.idx], in rank order, with the numbers of skipped and solved
-   subsets.  Each solved subset's rows are copied into the augmented
-   buffer and reduced in place; only a survivor's solution is copied
-   out. *)
-let enumerate_range sys eps sc ~len =
+(* Every coordinate of [x] is finite and nonzero: the solutions on
+   which a facet choice's replay provably equals its direct solve
+   (DESIGN.md section 18, "One factorization per facet choice"). *)
+let replay_exact x =
+  let ok = ref true in
+  for i = 0 to Array.length x - 1 do
+    let a = Float.abs x.(i) in
+    if not (a > 0. && a < infinity) then ok := false
+  done;
+  !ok
+
+(* Solves facet choice [mask] directly: its real rows and offsets are
+   copied into the augmented buffer and reduced by [Mat.solve_in_place].
+   False when the solve raises [Singular], which the factorization of
+   its class has already ruled out. *)
+let resolve sys sc ~mask =
   let n = sys.n and nc = sys.n + 1 in
-  let found = ref [] and skipped = ref 0 and solved = ref 0 in
+  for i = 0 to n - 1 do
+    let r = chosen_row sys sc ~mask i in
+    for j = 0 to n - 1 do
+      sc.aug.((i * nc) + j) <- sys.normals.((r * n) + j)
+    done;
+    sc.aug.((i * nc) + n) <- sys.offsets.(r)
+  done;
+  match Mat.solve_in_place n sc.aug sc.x with
+  | () -> true
+  | exception Mat.Singular -> false
+
+(* The tally of [len] consecutive group subsets from the one in
+   [sc.idx].  A group subset that passes the skip rules is one class:
+   its representative rows are factored once, and each of its [2^pairs]
+   facet choices is a right-hand side, a partner's offset negated
+   because its row is the representative's negation.  A choice that
+   takes a partner and whose solution has a zero or non-finite
+   coordinate is solved again directly.  Only a survivor's solution is
+   copied out. *)
+let enumerate_classes sys eps sc ~len =
+  let n = sys.n in
+  let found = ref [] and covered = ref 0 and factored = ref 0 in
+  let solved = ref 0 and resolved = ref 0 in
   let remaining = ref len and more = ref (len > 0) in
   while !more do
-    if sys.skip && provably_singular sys sc then incr skipped
-    else begin
-      incr solved;
+    if not (sys.skip && provably_singular sys sc) then begin
+      let pairs = ref 0 in
       for i = 0 to n - 1 do
-        let r = sc.idx.(i) in
+        let g = sc.idx.(i) in
+        let r = sys.first.(g) in
         for j = 0 to n - 1 do
-          sc.aug.((i * nc) + j) <- sys.normals.((r * n) + j)
+          sc.lu.((i * n) + j) <- sys.normals.((r * n) + j)
         done;
-        sc.aug.((i * nc) + n) <- sys.offsets.(r)
+        sc.rhs.(i) <- sys.offsets.(r);
+        if sys.partner.(g) >= 0 then begin
+          sc.pairs.(!pairs) <- i;
+          sc.alt.(!pairs) <- -.sys.offsets.(sys.partner.(g));
+          incr pairs
+        end
       done;
-      match Mat.solve_in_place n sc.aug sc.x with
-      | () ->
-          if feasible sys eps sc.x then
-            (* qsens-lint: disable=K003 — one copy per surviving vertex, not per subset *)
-            found := Array.copy sc.x :: !found
+      let pairs = !pairs in
+      covered := !covered + (1 lsl pairs);
+      incr factored;
+      match Mat.factor n sc.lu sc.piv with
       | exception Mat.Singular -> ()
+      | _ ->
+          for mask = 0 to (1 lsl pairs) - 1 do
+            for i = 0 to n - 1 do
+              sc.x.(i) <- sc.rhs.(i)
+            done;
+            for b = 0 to pairs - 1 do
+              if mask land (1 lsl b) <> 0 then sc.x.(sc.pairs.(b)) <- sc.alt.(b)
+            done;
+            Mat.solve_factored n sc.lu sc.piv sc.x;
+            incr solved;
+            let solved_exactly =
+              mask = 0 || replay_exact sc.x
+              || begin
+                   incr resolved;
+                   resolve sys sc ~mask
+                 end
+            in
+            if solved_exactly && feasible sys eps sc.x then
+              (* qsens-lint: disable=K003 — one copy per surviving vertex, not per subset *)
+              found := (rank sys sc ~mask, Array.copy sc.x) :: !found
+          done
     end;
     decr remaining;
-    more := !remaining > 0 && advance_subset sys.count n sc.idx
+    more := !remaining > 0 && advance_subset sys.groups n sc.idx
   done;
   (* qsens-hot: end *)
-  (List.rev !found, !skipped, !solved)
+  {
+    found = !found;
+    covered = !covered;
+    factored = !factored;
+    solved = !solved;
+    resolved = !resolved;
+  }
 
 (* [Vec.norm_inf (Vec.sub x y) <= eps] without the intermediate vector:
    false when any difference is NaN (the fold's [Float.max] propagates
@@ -271,7 +412,7 @@ let within eps x y =
    their cells: regions keep at most a few hundred, fewer than the 729
    cells such a grid probes per candidate at n = 6, and only a kept
    vertex allocates. *)
-let dedup ~eps ~n streams =
+let dedup ~eps ~n candidates =
   let key = Array.make n 0 in
   let neighbour cells =
     let ok = ref true and d = ref 0 in
@@ -288,12 +429,12 @@ let dedup ~eps ~n streams =
   in
   let kept = ref [] in
   List.iter
-    (List.iter (fun x ->
-         for d = 0 to n - 1 do
-           key.(d) <- int_of_float (Float.floor (x.(d) /. eps))
-         done;
-         if not (seen x !kept) then kept := (Array.copy key, x) :: !kept))
-    streams;
+    (fun x ->
+      for d = 0 to n - 1 do
+        key.(d) <- int_of_float (Float.floor (x.(d) /. eps))
+      done;
+      if not (seen x !kept) then kept := (Array.copy key, x) :: !kept)
+    candidates;
   List.rev_map snd !kept
 
 (* ------------------------------------------------------------------ *)
@@ -608,33 +749,46 @@ let vertices ?(eps = 1e-7) ?(max_subsets = 200_000) ?pool hs =
       if total = 0 then []
       else begin
         let sys = system n arr in
+        (* The walk is over n-subsets of groups: a subset that takes both
+           rows of a pair is twin-singular and never visited. *)
+        let classes = count_subsets sys.groups n in
+        let none = { found = []; covered = 0; factored = 0; solved = 0; resolved = 0 } in
         (* One scratch per task, each starting its own combination
            stream at its first rank. *)
         let range ~start ~len =
-          if len = 0 then ([], 0, 0)
-          else enumerate_range sys eps (scratch sys ~start) ~len
+          if len = 0 then none
+          else enumerate_classes sys eps (scratch sys ~start) ~len
         in
         let parts =
           match pool with
-          | Some p when Pool.domains p > 1 && total > 1 ->
-              let chunks = Pool.auto_chunks ~domains:(Pool.domains p) ~n:total in
-              let parts = Array.make chunks ([], 0, 0) in
+          | Some p when Pool.domains p > 1 && classes > 1 ->
+              let chunks = Pool.auto_chunks ~domains:(Pool.domains p) ~n:classes in
+              let parts = Array.make chunks none in
               Pool.run p
                 (Array.init chunks (fun c ->
-                     let lo, hi = Pool.chunk_bounds ~n:total ~chunks c in
+                     let lo, hi = Pool.chunk_bounds ~n:classes ~chunks c in
                      (* qsens-lint: disable=P001; qsens-check: disable=C001 — each task writes only its own chunk slot *)
                      fun () -> parts.(c) <- range ~start:lo ~len:(hi - lo)));
               Array.to_list parts
-          | _ -> [ range ~start:0 ~len:total ]
+          | _ -> [ range ~start:0 ~len:classes ]
         in
-        (* Merge in chunk order: the concatenation of chunk streams is
-           the full lexicographic candidate stream, so the greedy dedup
-           returns exactly the sequential result. *)
-        let out = dedup ~eps ~n (List.map (fun (f, _, _) -> f) parts) in
+        (* Facet choices interleave with other classes in rank order, so
+           the feasible solutions are sorted by the rank of their row
+           subset (each rank occurs once) into the lexicographic
+           candidate stream of solving every subset; the greedy dedup
+           then returns exactly that enumeration's result. *)
+        let found =
+          List.concat_map (fun t -> t.found) parts
+          |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+          |> List.map snd
+        in
+        let out = dedup ~eps ~n found in
         let sum g = List.fold_left (fun acc p -> acc + g p) 0 parts in
         Obs.add m_subsets total;
-        Obs.add m_skipped (sum (fun (_, k, _) -> k));
-        Obs.add m_solved (sum (fun (_, _, k) -> k));
+        Obs.add m_skipped (total - sum (fun t -> t.covered));
+        Obs.add m_factored (sum (fun t -> t.factored));
+        Obs.add m_solved (sum (fun t -> t.solved));
+        Obs.add m_resolved (sum (fun t -> t.resolved));
         Obs.add m_vertices (List.length out);
         out
       end

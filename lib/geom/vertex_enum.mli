@@ -38,19 +38,40 @@ val vertices :
     one coordinate, or the switchovers of duplicated plans).  The rules
     apply only when every normal entry is finite and below
     [2^(1022 - n)], so no elimination step can overflow (DESIGN.md
-    section 18).  Skipping therefore never changes the result: it is
-    the vertex list, in the same order and bit for bit, that solving
-    every subset yields.  The counters [vertex_enum.subsets],
-    [.skipped], [.solved] and [.vertices] are added once per call.
-    The loop over subsets allocates nothing per subset; only a
-    feasible solution is copied out.
+    section 18).
 
-    With [?pool], the rank-ordered space of [n]-subsets is partitioned
-    into contiguous chunks solved concurrently (each domain starts its
-    own combination stream via {!nth_subset}, with its own scratch);
-    chunk outputs are merged in rank order, so the result is
-    {e identical} — same vertices, same order — to the sequential
-    run. *)
+    Inside that gate a row is grouped with the next one when the next
+    is its exact opposite (entrywise under [Float.equal] after
+    negation), which pairs every box coordinate of a
+    [Region.halfspaces] list.  Subsets that differ only in which row
+    of a pair they take form one class: the elimination's pivots and
+    multipliers do not depend on the right-hand side or, up to sign, on
+    which row of a pair is taken, so the class's representative rows
+    are factored once ({!Mat.factor}) and each of its facet choices is
+    solved as a right-hand side ({!Mat.solve_factored}), a partner's
+    offset negated.  A choice that takes a partner row and whose
+    solution has a zero or non-finite coordinate, where a zero's sign
+    or a non-finite intermediate could differ, is solved again with
+    {!Mat.solve_in_place} on its own rows.  The feasible solutions are
+    sorted by the rank of their subset before the dedup.  Skipping,
+    sharing and sorting therefore never change the result: it is the
+    vertex list, in the same order and bit for bit, that solving every
+    subset yields.
+
+    The counters [vertex_enum.subsets] (every subset), [.skipped]
+    (subsets the rules proved singular, including those that take both
+    rows of a pair), [.factored] (classes factored, singular ones
+    included), [.solved] (right-hand sides solved), [.resolved] (facet
+    choices solved again directly) and [.vertices] are added once per
+    call.  The loop over classes and facet choices allocates nothing
+    per subset; only a feasible solution is copied out.
+
+    With [?pool], the rank-ordered space of [n]-subsets of groups is
+    partitioned into contiguous chunks solved concurrently (each domain
+    starts its own combination stream via {!nth_subset}, with its own
+    scratch); the feasible solutions of every chunk are sorted by rank
+    together, so the result is {e identical} — same vertices, same
+    order — to the sequential run. *)
 
 (** {2 Branch-and-bound vertex search}
 

@@ -55,58 +55,104 @@ let equal ?(eps = 1e-9) m n =
 
 exception Singular
 
-(* Gaussian elimination with partial pivoting, reducing the [n] leading
-   rows of the row-major buffer [a] in place — the system matrix
-   augmented with one or more right-hand-side columns, [ncols] entries
-   per row.  Returns the number of row swaps, whose parity is the
-   permutation sign for determinant computation.  Returns an int, not
-   the sign as a float, so the call allocates nothing: it is the
-   elimination inside every solve, the vertex enumerator's per-subset
-   one included. *)
+(* Gaussian elimination with partial pivoting, split in two so that one
+   factorization can serve many right-hand sides.  [factor_strided a n
+   stride piv] reduces the [n x n] matrix in the leading columns of the
+   row-major buffer [a] ([stride] entries per row) in place.  Step [k]
+   records its pivot row in [piv.(k)], swaps only columns [k ..], and
+   stores row [i]'s multiplier in the slot [a_ik] it has just cleared,
+   which nothing reads again: earlier multipliers therefore stay with
+   the positions they were computed for.  Returns the number of row
+   swaps, whose parity is the permutation sign.  [replay] then applies
+   step [k]'s swap and nonzero multipliers to one right-hand side in
+   step order, and [back_substitute] finishes it.  The right-hand side
+   never feeds a pivot or a multiplier, so the three perform, on the
+   matrix and on each right-hand side, the operations of one
+   elimination of the augmented matrix, in the same order.  An int
+   return and unit-returning passes keep every call allocation-free. *)
 (* qsens-hot: begin *)
-let forward_eliminate (a : float array) n ncols =
+let factor_strided (a : float array) n stride (piv : int array) =
   let swaps = ref 0 in
   for k = 0 to n - 1 do
-    let rk = k * ncols in
-    let piv = ref k in
+    let rk = k * stride in
+    let p = ref k in
     for i = k + 1 to n - 1 do
-      if Float.abs a.((i * ncols) + k) > Float.abs a.((!piv * ncols) + k) then
-        piv := i
+      if Float.abs a.((i * stride) + k) > Float.abs a.((!p * stride) + k) then
+        p := i
     done;
-    let rp = !piv * ncols in
+    let rp = !p * stride in
     if Float.abs a.(rp + k) < 1e-12 then raise Singular;
-    if !piv <> k then begin
+    piv.(k) <- !p;
+    if !p <> k then begin
       incr swaps;
-      for j = 0 to ncols - 1 do
+      for j = k to n - 1 do
         let t = a.(rk + j) in
         a.(rk + j) <- a.(rp + j);
         a.(rp + j) <- t
       done
     end;
     for i = k + 1 to n - 1 do
-      let ri = i * ncols in
+      let ri = i * stride in
       let f = a.(ri + k) /. a.(rk + k) in
+      a.(ri + k) <- f;
       if not (Float.equal f 0.) then
-        for j = k to ncols - 1 do
+        for j = k + 1 to n - 1 do
           a.(ri + j) <- a.(ri + j) -. (f *. a.(rk + j))
         done
     done
   done;
   !swaps
 
+let replay (a : float array) n stride (piv : int array) (b : float array) =
+  for k = 0 to n - 1 do
+    let p = piv.(k) in
+    if p <> k then begin
+      let t = b.(k) in
+      b.(k) <- b.(p);
+      b.(p) <- t
+    end;
+    for i = k + 1 to n - 1 do
+      let f = a.((i * stride) + k) in
+      if not (Float.equal f 0.) then b.(i) <- b.(i) -. (f *. b.(k))
+    done
+  done
+
+(* Overwrites the reduced right-hand side in [x] with the solution, row
+   [n - 1] first, each row's sum in ascending column order. *)
+let back_substitute (a : float array) n stride (x : float array) =
+  for i = n - 1 downto 0 do
+    let ri = i * stride in
+    let acc = ref x.(i) in
+    for j = i + 1 to n - 1 do
+      acc := !acc -. (a.(ri + j) *. x.(j))
+    done;
+    x.(i) <- !acc /. a.(ri + i)
+  done
+
+let factor n lu piv =
+  if n < 0 || Array.length lu <> n * n || Array.length piv < n then
+    invalid_arg "Mat.factor: buffer size mismatch";
+  factor_strided lu n n piv
+
+let solve_factored n lu piv x =
+  if n < 0 || Array.length lu <> n * n || Array.length piv < n
+     || Array.length x <> n
+  then invalid_arg "Mat.solve_factored: buffer size mismatch";
+  replay lu n n piv x;
+  back_substitute lu n n x
+(* qsens-hot: end *)
+
 let solve_in_place n aug x =
   if n < 0 || Array.length aug <> n * (n + 1) || Array.length x <> n then
     invalid_arg "Mat.solve_in_place: buffer size mismatch";
-  ignore (forward_eliminate aug n (n + 1));
   let nc = n + 1 in
-  for i = n - 1 downto 0 do
-    let acc = ref aug.((i * nc) + n) in
-    for j = i + 1 to n - 1 do
-      acc := !acc -. (aug.((i * nc) + j) *. x.(j))
-    done;
-    x.(i) <- !acc /. aug.((i * nc) + i)
-  done
-(* qsens-hot: end *)
+  for i = 0 to n - 1 do
+    x.(i) <- aug.((i * nc) + n)
+  done;
+  let piv = Array.make n 0 in
+  ignore (factor_strided aug n nc piv);
+  replay aug n nc piv x;
+  back_substitute aug n nc x
 
 let solve m b =
   let n = m.nr in
@@ -117,23 +163,20 @@ let solve m b =
   solve_in_place n aug.a x;
   x
 
+(* One factorization, then each identity column as a right-hand side. *)
 let inverse m =
   let n = m.nr in
   if m.nc <> n then invalid_arg "Mat.inverse: matrix not square";
-  let aug =
-    init n (2 * n) (fun i j ->
-        if j < n then get m i j else if j - n = i then 1. else 0.)
-  in
-  ignore (forward_eliminate aug.a n (2 * n));
-  (* Back substitution on each identity column. *)
-  let inv = make n n 0. in
+  let lu = Array.copy m.a and piv = Array.make n 0 in
+  ignore (factor_strided lu n n piv);
+  let inv = make n n 0. and e = Array.make n 0. in
   for c = 0 to n - 1 do
-    for i = n - 1 downto 0 do
-      let acc = ref (get aug i (n + c)) in
-      for j = i + 1 to n - 1 do
-        acc := !acc -. (get aug i j *. get inv j c)
-      done;
-      set inv i c (!acc /. get aug i i)
+    Array.fill e 0 n 0.;
+    e.(c) <- 1.;
+    replay lu n n piv e;
+    back_substitute lu n n e;
+    for i = 0 to n - 1 do
+      set inv i c e.(i)
     done
   done;
   inv
@@ -141,12 +184,12 @@ let inverse m =
 let determinant m =
   let n = m.nr in
   if m.nc <> n then invalid_arg "Mat.determinant: matrix not square";
-  let aug = init n n (fun i j -> get m i j) in
-  match forward_eliminate aug.a n n with
+  let lu = Array.copy m.a in
+  match factor_strided lu n n (Array.make n 0) with
   | swaps ->
       let d = ref (if swaps land 1 = 0 then 1. else -1.) in
       for i = 0 to n - 1 do
-        d := !d *. get aug i i
+        d := !d *. lu.((i * n) + i)
       done;
       !d
   | exception Singular -> 0.

@@ -58,13 +58,43 @@ val solve_in_place : int -> float array -> Vec.t -> unit
 (** [solve_in_place n aug x] solves the [n x n] system held in [aug]
     together with its right-hand side: row-major, [n] rows of [n + 1]
     entries [a_i0 .. a_i(n-1) b_i].  Writes the solution into [x]
-    (length [n]) and destroys [aug].  {!solve} is a thin wrapper over
-    it, so the two perform the same floating-point operations in the
-    same order — pivot search, singular test, row swaps, updates, back
-    substitution — and agree bit for bit.  Allocates nothing: a caller
-    solving many systems refills one buffer pair.  Raises [Singular]
-    as {!solve} does, leaving [aug] partly reduced, and
+    (length [n]) and destroys [aug].  It is {!factor} on the matrix
+    columns followed by {!solve_factored}'s replay and back
+    substitution on column [n], and {!solve}, {!inverse} and
+    {!determinant} run the same three passes, so the tree has one
+    elimination: pivot search with strict [>], the [< 1e-12] singular
+    test, row swaps, updates that skip a zero multiplier, back
+    substitution in ascending column order.  Each right-hand side gets
+    exactly the operations it got as an extra column of one augmented
+    elimination, so the results are bit for bit those of eliminating
+    [aug] whole.  Allocates only its [n]-entry pivot record.  Raises
+    [Singular] as {!solve} does, leaving [aug] partly reduced, and
     [Invalid_argument] when the buffer lengths do not match [n]. *)
+
+val factor : int -> float array -> int array -> int
+(** [factor n lu piv] factors the [n x n] row-major matrix in [lu] in
+    place by Gaussian elimination with partial pivoting and returns the
+    number of row swaps.  On return the upper triangle of [lu] holds
+    the reduced matrix, step [k]'s pivot row is [piv.(k)], and the
+    entry below the diagonal at row [i], column [k] is the multiplier
+    step [k] applied to the row then at position [i] (swaps move only
+    columns [k ..], so a multiplier stays where it was computed).  The
+    pivots and multipliers depend on the matrix alone, so one
+    factorization serves every right-hand side through
+    {!solve_factored}, and a system is singular for every right-hand
+    side or for none.  Allocates nothing.  Raises [Singular] when a
+    pivot is below [1e-12] in magnitude, leaving [lu] partly reduced,
+    and [Invalid_argument] unless [lu] has [n * n] entries and [piv] at
+    least [n]. *)
+
+val solve_factored : int -> float array -> int array -> Vec.t -> unit
+(** [solve_factored n lu piv x] solves the system {!factor} left in
+    [lu] and [piv] for the right-hand side held in [x], overwriting it
+    with the solution: each step's swap and nonzero multipliers in step
+    order, then back substitution.  Bit-identical to {!solve_in_place}
+    on the same matrix and right-hand side.  [lu] and [piv] are not
+    modified.  Allocates nothing.  Raises [Invalid_argument] when the
+    buffer lengths do not match [n]. *)
 
 val inverse : t -> t
 (** Matrix inverse via Gaussian elimination.  Raises [Singular]. *)

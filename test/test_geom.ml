@@ -206,12 +206,10 @@ let test_vertex_enum_too_large () =
   Alcotest.check_raises "budget" Vertex_enum.Too_large (fun () ->
       ignore (Vertex_enum.vertices ~max_subsets:10 (Box.to_halfspaces b)))
 
-(* Allocation guard for the per-subset loop: a polytope with no vertex
-   at all (x0 <= -1 against the box's x0 >= 1) over more than 10^5
-   subsets, most of which reach the in-place solve and the feasibility
-   scan.  Only per-call set-up may allocate; the brute-force path
-   allocated 758 minor words per subset here. *)
-let test_vertex_enum_alloc () =
+(* A polytope with no vertex at all (x0 <= -1 against the box's
+   x0 >= 1) over more than 10^5 subsets, most of which reach a solve
+   and the feasibility scan. *)
+let empty_polytope () =
   let n = 6 in
   let st = Random.State.make [| 7 |] in
   let random () =
@@ -219,11 +217,16 @@ let test_vertex_enum_alloc () =
       (Array.init n (fun _ -> Random.State.float st 2. -. 1.))
       (Random.State.float st 1.)
   in
-  let hs =
+  ( n,
     Halfspace.make (Array.init n (fun j -> if j = 0 then 1. else 0.)) (-1.)
     :: Box.to_halfspaces (Box.make (Vec.make n 1.) (Vec.make n 2.))
-    @ List.init 10 (fun _ -> random ())
-  in
+    @ List.init 10 (fun _ -> random ()) )
+
+(* Allocation guard for the per-subset loop on [empty_polytope].  Only
+   per-call set-up may allocate; the brute-force path allocated 758
+   minor words per subset here. *)
+let test_vertex_enum_alloc () =
+  let n, hs = empty_polytope () in
   let subsets = Vertex_enum.count_subsets (List.length hs) n in
   Alcotest.(check bool) "at least 10^5 subsets" true (subsets >= 100_000);
   let vs, minor, _ =
@@ -233,6 +236,31 @@ let test_vertex_enum_alloc () =
   Alcotest.(check int) "no vertex" 0 (List.length vs);
   if minor > 0.1 then
     Alcotest.failf "%.3f minor words per subset (limit 0.1)" minor
+
+(* The work counters, pinned.  An enumerator that factored every subset
+   afresh, or re-solved every facet choice, would pass every
+   bit-identity test; only the counts tell it apart.  On
+   [empty_polytope] the six box pairs make each class stand for up to
+   2^6 subsets; on a box straddling the origin cut by rows through it,
+   some choices' solutions have zero coordinates and are re-solved. *)
+let enum_counters =
+  List.map (( ^ ) "vertex_enum.")
+    [ "subsets"; "skipped"; "factored"; "solved"; "resolved"; "vertices" ]
+
+let test_vertex_enum_counters () =
+  let count hs =
+    match Obs_totals.run enum_counters (fun () -> Vertex_enum.vertices hs) with
+    | Ok _, counts -> counts
+    | Error e, _ -> Alcotest.fail e
+  in
+  let _, hs = empty_polytope () in
+  Alcotest.(check (list int)) "empty polytope" [ 100947; 41545; 11011; 59402; 0; 0 ] (count hs);
+  let hs =
+    Halfspace.make [| 2.; -1.; -2. |] 0.
+    :: Halfspace.make [| -2.; 1.; -2. |] 0.
+    :: Box.to_halfspaces (Box.make [| -3.; -1.; -1. |] [| 1.; 2.; 3. |])
+  in
+  Alcotest.(check (list int)) "straddling box" [ 56; 18; 10; 36; 5; 9 ] (count hs)
 
 (* Bit-identity against the brute-force reference (test/vertex_enum_ref.ml).
    Regions are built the way discovery builds them — [Region.of_plans],
@@ -312,6 +340,103 @@ let prop_vertices_match_reference =
           match
             (expected, run (fun () -> Vertex_enum.vertices ~max_subsets:c.max_subsets ?pool hs))
           with
+          | None, None -> true
+          | Some e, Some v -> List.length e = List.length v && List.for_all2 same_bits e v
+          | _ -> false)
+        [ None; Some pool1; Some pool2; Some pool3 ])
+
+(* Bit-identity on systems whose vertices have zero coordinates, and on
+   opposite rows that are not box facets.  Rows pass through the origin
+   or bound boxes that straddle it, so eliminations cancel to exact
+   zeros: there a facet choice's replay on its class's factorization
+   can give a zero of the other sign than solving the choice directly,
+   which the enumerator must catch and re-solve.  Opposite rows sit at
+   adjacent indices (mirrored rows, mirrored plan pairs [A_j + A_k =
+   2 A_i]) and, in the mirrored kind, also apart, where they must not
+   be paired.  The region property above never yields a zero
+   coordinate. *)
+
+type zero_case = { kind : string; hs : Halfspace.t list }
+
+let gen_zero_case st =
+  let open QCheck.Gen in
+  let m = int_range 2 4 st in
+  let small () = Float.of_int (int_range (-2) 2 st) in
+  let row ?(offset = 0.) () = Halfspace.make (Array.init m (fun _ -> small ())) offset in
+  let straddle () =
+    Box.make
+      (Array.init m (fun _ -> -.Float.of_int (int_range 1 4 st)))
+      (Array.init m (fun _ -> Float.of_int (int_range 1 4 st)))
+  in
+  match int_bound 3 st with
+  | 0 ->
+      let rows = List.init (int_range 1 6 st) (fun _ -> row ()) in
+      { kind = "straddling box"; hs = rows @ Box.to_halfspaces (straddle ()) }
+  | 1 -> { kind = "origin rows"; hs = List.init (int_range m 10 st) (fun _ -> row ()) }
+  | 2 ->
+      let offset () = if bool st then 0. else small () in
+      let rows =
+        List.concat
+          (List.init (int_range 2 6 st) (fun _ ->
+               let h = row ~offset:(offset ()) () in
+               if bool st then [ h; Halfspace.make (Vec.neg h.normal) (offset ()) ]
+               else [ h ]))
+      in
+      (* Opposites of earlier rows, inserted further on. *)
+      let arr = Array.of_list rows in
+      let extra =
+        List.init (int_range 0 2 st) (fun _ ->
+            let h = arr.(int_bound (Array.length arr - 1) st) in
+            (int_bound (Array.length arr) st, Halfspace.make (Vec.neg h.normal) (offset ())))
+      in
+      let hs =
+        List.concat
+          (List.mapi
+             (fun i h -> List.filter_map (fun (at, e) -> if at = i then Some e else None) extra @ [ h ])
+             rows)
+      in
+      { kind = "mirrored rows"; hs }
+  | _ ->
+      let centre = Array.init m (fun _ -> Float.of_int (int_range 0 4 st)) in
+      let others =
+        List.concat
+          (List.init (int_range 1 4 st) (fun _ ->
+               let d = Array.init m (fun _ -> small ()) in
+               if bool st then [ Vec.add centre d; Vec.sub centre d ]
+               else [ Array.init m (fun _ -> Float.of_int (int_range 0 4 st)) ]))
+      in
+      let index = int_bound (List.length others) st in
+      let plans =
+        Array.of_list
+          (List.filteri (fun i _ -> i < index) others
+          @ (centre :: List.filteri (fun i _ -> i >= index) others))
+      in
+      let box = if bool st then straddle () else Box.around (Vec.make m 1.) ~delta:4. in
+      let region = Region.of_plans ~plans ~index box in
+      let region = if bool st then Region.contract 1e-6 region else region in
+      { kind = "mirrored plans"; hs = Region.halfspaces region }
+
+let print_zero_case c =
+  Printf.sprintf "%s: [%s]" c.kind
+    (String.concat "; "
+       (List.map
+          (fun h ->
+            Printf.sprintf "%s <= %h"
+              (String.concat " "
+                 (Array.to_list (Array.map (Printf.sprintf "%h") h.Halfspace.normal)))
+              h.Halfspace.offset)
+          c.hs))
+
+let prop_zero_vertices_match_reference =
+  QCheck.Test.make ~count:1000
+    ~name:"vertices: bit-identical to the reference with zero coordinates"
+    (QCheck.make ~print:print_zero_case gen_zero_case)
+    (fun c ->
+      let run f = match f () with vs -> Some vs | exception Vertex_enum.Too_large -> None in
+      let expected = run (fun () -> Vertex_enum_ref.vertices c.hs) in
+      List.for_all
+        (fun pool ->
+          match (expected, run (fun () -> Vertex_enum.vertices ?pool c.hs)) with
           | None, None -> true
           | Some e, Some v -> List.length e = List.length v && List.for_all2 same_bits e v
           | _ -> false)
@@ -462,7 +587,11 @@ let test_region_contract () =
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
-      [ prop_fractional_attains_max; prop_vertices_match_reference ]
+      [
+        prop_fractional_attains_max;
+        prop_vertices_match_reference;
+        prop_zero_vertices_match_reference;
+      ]
   in
   Alcotest.run "geom"
     [
@@ -503,6 +632,7 @@ let () =
             test_golden_discovery;
           Alcotest.test_case "allocation per subset" `Quick
             test_vertex_enum_alloc;
+          Alcotest.test_case "work counters" `Quick test_vertex_enum_counters;
         ] );
       ( "fractional",
         [

@@ -163,6 +163,167 @@ let prop_least_squares_recovers =
       | x -> Vec.equal ~eps:1e-4 x u
       | exception Mat.Singular -> QCheck.assume_fail ())
 
+(* Test-only copy of the elimination [Mat] ran before it was split into
+   a factorization and per-right-hand-side replays: one pass over the
+   augmented matrix that updates every column, right-hand sides
+   included, at each step.  [Mat]'s solvers must return exactly what
+   these return, bit for bit, and raise [Singular] on the same
+   inputs. *)
+module Whole_elimination = struct
+  let forward_eliminate (a : float array) n ncols =
+    let swaps = ref 0 in
+    for k = 0 to n - 1 do
+      let rk = k * ncols in
+      let piv = ref k in
+      for i = k + 1 to n - 1 do
+        if Float.abs a.((i * ncols) + k) > Float.abs a.((!piv * ncols) + k) then
+          piv := i
+      done;
+      let rp = !piv * ncols in
+      if Float.abs a.(rp + k) < 1e-12 then raise Mat.Singular;
+      if !piv <> k then begin
+        incr swaps;
+        for j = 0 to ncols - 1 do
+          let t = a.(rk + j) in
+          a.(rk + j) <- a.(rp + j);
+          a.(rp + j) <- t
+        done
+      end;
+      for i = k + 1 to n - 1 do
+        let ri = i * ncols in
+        let f = a.(ri + k) /. a.(rk + k) in
+        if not (Float.equal f 0.) then
+          for j = k to ncols - 1 do
+            a.(ri + j) <- a.(ri + j) -. (f *. a.(rk + j))
+          done
+      done
+    done;
+    !swaps
+
+  let solve_in_place n aug x =
+    ignore (forward_eliminate aug n (n + 1));
+    let nc = n + 1 in
+    for i = n - 1 downto 0 do
+      let acc = ref aug.((i * nc) + n) in
+      for j = i + 1 to n - 1 do
+        acc := !acc -. (aug.((i * nc) + j) *. x.(j))
+      done;
+      x.(i) <- !acc /. aug.((i * nc) + i)
+    done
+
+  (* [a] is row-major [n x n]; the inverse comes back the same way. *)
+  let inverse n a =
+    let nc = 2 * n in
+    let aug =
+      Array.init (n * nc) (fun k ->
+          let i = k / nc and j = k mod nc in
+          if j < n then a.((i * n) + j) else if j - n = i then 1. else 0.)
+    in
+    ignore (forward_eliminate aug n nc);
+    let inv = Array.make (n * n) 0. in
+    for c = 0 to n - 1 do
+      for i = n - 1 downto 0 do
+        let acc = ref aug.((i * nc) + n + c) in
+        for j = i + 1 to n - 1 do
+          acc := !acc -. (aug.((i * nc) + j) *. inv.((j * n) + c))
+        done;
+        inv.((i * n) + c) <- !acc /. aug.((i * nc) + i)
+      done
+    done;
+    inv
+
+  let determinant n a =
+    let aug = Array.copy a in
+    match forward_eliminate aug n n with
+    | swaps ->
+        let d = ref (if swaps land 1 = 0 then 1. else -1.) in
+        for i = 0 to n - 1 do
+          d := !d *. aug.((i * n) + i)
+        done;
+        !d
+    | exception Mat.Singular -> 0.
+end
+
+(* Square systems that reach every branch of the elimination: exact
+   zeros of both signs (zero multipliers, zero columns), small integers
+   (pivot ties, exact cancellation, singular matrices), and magnitudes
+   from 1e-300 to 1e300 (underflow, overflow, infinities and NaN on the
+   right-hand sides). *)
+let gen_entry st =
+  let open QCheck.Gen in
+  match int_bound 5 st with
+  | 0 -> 0.
+  | 1 -> -0.
+  | 2 | 3 -> Float.of_int (int_range (-3) 3 st)
+  | _ ->
+      (if bool st then 1. else -1.) *. Float.pow 10. (float_range (-300.) 300. st)
+
+let gen_system =
+  let open QCheck.Gen in
+  int_range 1 6 >>= fun n ->
+  map
+    (fun (a, b) -> (n, a, b))
+    (pair (array_size (return (n * n)) gen_entry) (array_size (return n) gen_entry))
+
+let print_system (n, a, b) =
+  let floats v = String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") v)) in
+  Printf.sprintf "n %d, a [%s], b [%s]" n (floats a) (floats b)
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let outcome f = match f () with v -> Some v | exception Mat.Singular -> None
+
+let same_outcome a b =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y -> same_bits x y
+  | _ -> false
+
+let prop_mat_matches_whole_elimination =
+  QCheck.Test.make ~count:2000
+    ~name:"mat: solvers bit-identical to the whole-matrix elimination"
+    (QCheck.make ~print:print_system gen_system)
+    (fun (n, a, b) ->
+      let augmented () =
+        Array.init (n * (n + 1)) (fun k ->
+            let i = k / (n + 1) and j = k mod (n + 1) in
+            if j = n then b.(i) else a.((i * n) + j))
+      in
+      let expected =
+        outcome (fun () ->
+            let x = Array.make n 0. in
+            Whole_elimination.solve_in_place n (augmented ()) x;
+            x)
+      in
+      let m = Mat.init n n (fun i j -> a.((i * n) + j)) in
+      let in_place =
+        outcome (fun () ->
+            let x = Array.make n 0. in
+            Mat.solve_in_place n (augmented ()) x;
+            x)
+      and factored =
+        outcome (fun () ->
+            let lu = Array.copy a and piv = Array.make n 0 and x = Array.copy b in
+            ignore (Mat.factor n lu piv);
+            Mat.solve_factored n lu piv x;
+            x)
+      and inverse =
+        outcome (fun () ->
+            let inv = Mat.inverse m in
+            Array.init (n * n) (fun k -> Mat.get inv (k / n) (k mod n)))
+      in
+      same_outcome expected in_place
+      && same_outcome expected factored
+      && same_outcome expected (outcome (fun () -> Mat.solve m b))
+      && same_outcome (outcome (fun () -> Whole_elimination.inverse n a)) inverse
+      && same_bits
+           [| Whole_elimination.determinant n a |]
+           [| Mat.determinant m |])
+
 let prop_dominates_irreflexive =
   QCheck.Test.make ~count:200 ~name:"dominates is irreflexive"
     (arb_vec 4) (fun a -> not (Vec.dominates a a))
@@ -170,7 +331,8 @@ let prop_dominates_irreflexive =
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest
       [ prop_dot_symmetric; prop_dot_linear; prop_solve_roundtrip;
-        prop_least_squares_recovers; prop_dominates_irreflexive ]
+        prop_least_squares_recovers; prop_dominates_irreflexive;
+        prop_mat_matches_whole_elimination ]
   in
   Alcotest.run "linalg"
     [
