@@ -22,6 +22,21 @@ type result = {
   probes : int;
 }
 
+(* Bitwise equality of two cost points. *)
+let same_bits a b =
+  Array.length a = Array.length b
+  && begin
+       let same = ref true and i = ref 0 in
+       while !same && !i < Array.length a do
+         same := Int64.bits_of_float a.(!i) = Int64.bits_of_float b.(!i);
+         incr i
+       done;
+       !same
+     end
+
+(* Slots of the probe memo's first level; a power of two. *)
+let recent_slots = 256
+
 let clamp box v =
   Vec.init (Vec.dim v) (fun i ->
       Float.min box.Box.hi.(i) (Float.max box.Box.lo.(i) v.(i)))
@@ -36,27 +51,44 @@ let discover ?(seed = 42) ?(random_corners = 64) ?(max_pair_rounds = 8)
   let exhausted () = Oracle.calls oracle >= max_probes in
   (* The pairwise and vertex phases revisit the same corners many times;
      cache probe results per cost point so only distinct points cost an
-     optimizer invocation. *)
+     optimizer invocation.  Points are the same when their [%.12g] keys
+     are.  A key is a function of the point's bits, so a first level
+     holding, per slot of a hash of the bits, the last point seen there
+     answers a bitwise repeat without building its key, in
+     [recent_slots] points of memory whatever the number of probes. *)
   let seen_points : (string, string) Hashtbl.t = Hashtbl.create 256 in
+  (* Per slot, the last point seen there and its signature.  The
+     initial point has [m + 1] coordinates, so no probe matches it. *)
+  let recent = Array.make recent_slots (Vec.zero (m + 1)) in
+  let recent_signature = Array.make recent_slots "" in
   let point_key theta =
     String.concat "," (List.map (Printf.sprintf "%.12g") (Array.to_list theta))
   in
   let probe theta =
     let theta = clamp box theta in
-    let key = point_key theta in
-    match Hashtbl.find_opt seen_points key with
-    | Some signature -> (false, signature)
-    | None ->
-        Obs.add m_probes 1;
-        let signature, eff = Oracle.probe oracle theta in
-        Hashtbl.add seen_points key signature;
-        let fresh = not (Hashtbl.mem known signature) in
-        if fresh then begin
-          Obs.add m_fresh 1;
-          Hashtbl.add known signature { signature; eff };
-          order := signature :: !order
-        end;
-        (fresh, signature)
+    let slot = Hashtbl.hash theta land (recent_slots - 1) in
+    if same_bits recent.(slot) theta then (false, recent_signature.(slot))
+    else begin
+      let key = point_key theta in
+      let ((_, signature) as result) =
+        match Hashtbl.find_opt seen_points key with
+        | Some signature -> (false, signature)
+        | None ->
+            Obs.add m_probes 1;
+            let signature, eff = Oracle.probe oracle theta in
+            Hashtbl.add seen_points key signature;
+            let fresh = not (Hashtbl.mem known signature) in
+            if fresh then begin
+              Obs.add m_fresh 1;
+              Hashtbl.add known signature { signature; eff };
+              order := signature :: !order
+            end;
+            (fresh, signature)
+      in
+      recent.(slot) <- theta;
+      recent_signature.(slot) <- signature;
+      result
+    end
   in
   (* Phase 1: the estimated costs and structured probes. *)
   let ones = Vec.make m 1. in

@@ -56,6 +56,11 @@ val discover :
     singular, so whether a region aborts depends only on its size; the
     skipping changes no vertex, probe or plan.
 
+    Each probe point is clamped to the box and costs an optimizer call
+    only the first time its [%.12g] text occurs; a repeat reuses the
+    first answer and is not counted.  A bitwise repeat of a recently
+    probed point is found by its bits, without building that text.
+
     With [?pool], each verification round enumerates the
     region-of-influence vertices of all known plans concurrently; oracle
     probing stays sequential in region order, so the probe sequence,

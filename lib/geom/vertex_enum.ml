@@ -84,6 +84,9 @@ let m_factored =
 let m_solved =
   Obs.counter ~help:"right-hand sides solved" "vertex_enum.solved"
 
+let m_rejected =
+  Obs.counter ~help:"facet choices stopped on a box bound" "vertex_enum.rejected"
+
 let m_resolved =
   Obs.counter ~help:"facet choices re-solved directly" "vertex_enum.resolved"
 
@@ -95,12 +98,15 @@ let m_vertices = Obs.counter ~help:"distinct vertices returned" "vertex_enum.ver
    tables, filled only when the gate holds.  Rows are walked in groups:
    a row and the next one when the next is its exact opposite (a box
    coordinate's [hi] and [lo] facets), otherwise the row alone.  Inside
-   the gate only; outside it every group is one row. *)
+   the gate only; outside it every group is one row.  [lo] and [hi] are
+   the box bounds back substitution tests each coordinate against. *)
 type system = {
   n : int;
   count : int;
   normals : float array;
   offsets : float array;
+  lo : float array;
+  hi : float array;
   skip : bool;
   nonzero : int array;
       (** bit [j] set when the row's column [j] is not an exact zero *)
@@ -125,6 +131,48 @@ let system n arr =
       Array.blit v 0 normals (r * n) n)
     arr;
   let offsets = Array.map (fun h -> h.Halfspace.offset) arr in
+  (* Coordinate [j]'s tightest bounds: the smallest offset among the
+     rows that are exactly [+e_j] and the largest negated offset among
+     those that are exactly [-e_j].  A choice is dropped as soon as back
+     substitution computes a coordinate outside them by more than
+     [eps], which is the scan's own comparison on that row only while
+     every coordinate of every solve of this call stays finite
+     (DESIGN.md section 18, "Rejecting a choice on its box bounds").
+     Pivots are at least 1e-12 and partial pivoting grows the reduced
+     matrix and right-hand side at most 2^(n-1)-fold, so with [u] and
+     [y] the grown largest normal entry and offset, every coordinate is
+     below [(y / 1e-12) (1 + n u / 1e-12)^(n-1)] and every row product
+     below [n] times the largest normal entry times that.  The bounds
+     are set only when the log2 of that product is at most 960, far
+     below 2^1023; NaN and infinite entries fail the test.  Otherwise
+     they stay infinite and never stop a solve. *)
+  let lo = Array.make n neg_infinity and hi = Array.make n infinity in
+  let largest v = Array.fold_left (fun m a -> Float.max m (Float.abs a)) 0. v in
+  let a = largest normals and b = largest offsets in
+  let fn = Float.of_int n in
+  let log2_bound =
+    Float.log2 (Float.ldexp b (n - 1) /. 1e-12)
+    +. (Float.of_int (n - 1) *. Float.log2 (1. +. (fn *. Float.ldexp a (n - 1) /. 1e-12)))
+    +. Float.log2 (fn *. a)
+  in
+  (* The column of row [r]'s one nonzero entry when that entry is 1 or
+     -1 and the others are zeros of either sign, otherwise -1. *)
+  let unit_column r =
+    let col = ref (-1) and single = ref true in
+    for j = 0 to n - 1 do
+      let v = normals.((r * n) + j) in
+      if not (Float.equal v 0.) then
+        if !col < 0 && Float.equal (Float.abs v) 1. then col := j else single := false
+    done;
+    if !single then !col else -1
+  in
+  if log2_bound <= 960. then
+    for r = 0 to count - 1 do
+      let j = unit_column r in
+      if j >= 0 then
+        if normals.((r * n) + j) > 0. then hi.(j) <- Float.min hi.(j) offsets.(r)
+        else lo.(j) <- Float.max lo.(j) (-.offsets.(r))
+    done;
   (* Partial pivoting grows entries at most 2^(n-1)-fold; below this
      bound no elimination of these normals can overflow to an infinity,
      so every step of the skip-rule proofs stays finite.  NaN and
@@ -177,7 +225,20 @@ let system n arr =
     else r := !r + 1;
     incr groups
   done;
-  { n; count; normals; offsets; skip; nonzero; twin; groups = !groups; first; partner }
+  {
+    n;
+    count;
+    normals;
+    offsets;
+    lo;
+    hi;
+    skip;
+    nonzero;
+    twin;
+    groups = !groups;
+    first;
+    partner;
+  }
 
 (* Per-task scratch: the factored representative rows with their pivot
    record, the right-hand side and solution, the augmented buffer of a
@@ -217,6 +278,7 @@ type tally = {
   covered : int;  (** row subsets in the classes factored *)
   factored : int;
   solved : int;
+  rejected : int;
   resolved : int;
 }
 
@@ -326,14 +388,15 @@ let resolve sys sc ~mask =
    [sc.idx].  A group subset that passes the skip rules is one class:
    its representative rows are factored once, and each of its [2^pairs]
    facet choices is a right-hand side, a partner's offset negated
-   because its row is the representative's negation.  A choice that
-   takes a partner and whose solution has a zero or non-finite
-   coordinate is solved again directly.  Only a survivor's solution is
-   copied out. *)
+   because its row is the representative's negation.  A choice is
+   dropped as soon as back substitution computes a coordinate outside
+   [sys.lo]/[sys.hi] by more than [eps].  A surviving choice that takes
+   a partner and whose solution has a zero or non-finite coordinate is
+   solved again directly.  Only a feasible solution is copied out. *)
 let enumerate_classes sys eps sc ~len =
   let n = sys.n in
   let found = ref [] and covered = ref 0 and factored = ref 0 in
-  let solved = ref 0 and resolved = ref 0 in
+  let solved = ref 0 and rejected = ref 0 and resolved = ref 0 in
   let remaining = ref len and more = ref (len > 0) in
   while !more do
     if not (sys.skip && provably_singular sys sc) then begin
@@ -364,18 +427,21 @@ let enumerate_classes sys eps sc ~len =
             for b = 0 to pairs - 1 do
               if mask land (1 lsl b) <> 0 then sc.x.(sc.pairs.(b)) <- sc.alt.(b)
             done;
-            Mat.solve_factored n sc.lu sc.piv sc.x;
             incr solved;
-            let solved_exactly =
-              mask = 0 || replay_exact sc.x
-              || begin
-                   incr resolved;
-                   resolve sys sc ~mask
-                 end
-            in
-            if solved_exactly && feasible sys eps sc.x then
-              (* qsens-lint: disable=K003 — one copy per surviving vertex, not per subset *)
-              found := (rank sys sc ~mask, Array.copy sc.x) :: !found
+            if not (Mat.solve_factored n sc.lu sc.piv ~lo:sys.lo ~hi:sys.hi ~eps sc.x)
+            then incr rejected
+            else begin
+              let solved_exactly =
+                mask = 0 || replay_exact sc.x
+                || begin
+                     incr resolved;
+                     resolve sys sc ~mask
+                   end
+              in
+              if solved_exactly && feasible sys eps sc.x then
+                (* qsens-lint: disable=K003 — one copy per surviving vertex, not per subset *)
+                found := (rank sys sc ~mask, Array.copy sc.x) :: !found
+            end
           done
     end;
     decr remaining;
@@ -387,6 +453,7 @@ let enumerate_classes sys eps sc ~len =
     covered = !covered;
     factored = !factored;
     solved = !solved;
+    rejected = !rejected;
     resolved = !resolved;
   }
 
@@ -752,7 +819,9 @@ let vertices ?(eps = 1e-7) ?(max_subsets = 200_000) ?pool hs =
         (* The walk is over n-subsets of groups: a subset that takes both
            rows of a pair is twin-singular and never visited. *)
         let classes = count_subsets sys.groups n in
-        let none = { found = []; covered = 0; factored = 0; solved = 0; resolved = 0 } in
+        let none =
+          { found = []; covered = 0; factored = 0; solved = 0; rejected = 0; resolved = 0 }
+        in
         (* One scratch per task, each starting its own combination
            stream at its first rank. *)
         let range ~start ~len =
@@ -788,6 +857,7 @@ let vertices ?(eps = 1e-7) ?(max_subsets = 200_000) ?pool hs =
         Obs.add m_skipped (total - sum (fun t -> t.covered));
         Obs.add m_factored (sum (fun t -> t.factored));
         Obs.add m_solved (sum (fun t -> t.solved));
+        Obs.add m_rejected (sum (fun t -> t.rejected));
         Obs.add m_resolved (sum (fun t -> t.resolved));
         Obs.add m_vertices (List.length out);
         out

@@ -53,18 +53,33 @@ val vertices :
     solution has a zero or non-finite coordinate, where a zero's sign
     or a non-finite intermediate could differ, is solved again with
     {!Mat.solve_in_place} on its own rows.  The feasible solutions are
-    sorted by the rank of their subset before the dedup.  Skipping,
-    sharing and sorting therefore never change the result: it is the
-    vertex list, in the same order and bit for bit, that solving every
-    subset yields.
+    sorted by the rank of their subset before the dedup.
+
+    A facet choice is dropped without that guard or the scan when back
+    substitution computes a coordinate [x_i] outside its box bounds:
+    [x_i -. hi_i > eps] or [lo_i -. x_i > eps], where [hi_i] is the
+    smallest offset among the rows that are exactly [+e_i] (a [1.] in
+    column [i], zeros of either sign elsewhere) and [lo_i] the largest
+    negated offset among the rows that are exactly [-e_i].  That is the
+    scan's own comparison on the tightest such row, so it rejects
+    exactly what the scan would, but only while every coordinate stays
+    finite: a NaN coordinate makes every row product NaN, which the
+    scan passes.  The bounds are therefore derived only when a bound on
+    every solve of the call, computed once in log2 from the largest
+    normal entry and offset, stays far below overflow; otherwise they
+    are infinite and every choice is solved in full (DESIGN.md section
+    18).  Skipping, sharing, rejecting and sorting therefore never
+    change the result: it is the vertex list, in the same order and bit
+    for bit, that solving every subset yields.
 
     The counters [vertex_enum.subsets] (every subset), [.skipped]
     (subsets the rules proved singular, including those that take both
     rows of a pair), [.factored] (classes factored, singular ones
-    included), [.solved] (right-hand sides solved), [.resolved] (facet
-    choices solved again directly) and [.vertices] are added once per
-    call.  The loop over classes and facet choices allocates nothing
-    per subset; only a feasible solution is copied out.
+    included), [.solved] (right-hand sides replayed), [.rejected]
+    (facet choices stopped on a box bound), [.resolved] (surviving
+    facet choices solved again directly) and [.vertices] are added once
+    per call.  The loop over classes and facet choices allocates
+    nothing per subset; only a feasible solution is copied out.
 
     With [?pool], the rank-ordered space of [n]-subsets of groups is
     partitioned into contiguous chunks solved concurrently (each domain

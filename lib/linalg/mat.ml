@@ -68,8 +68,8 @@ exception Singular
    step order, and [back_substitute] finishes it.  The right-hand side
    never feeds a pivot or a multiplier, so the three perform, on the
    matrix and on each right-hand side, the operations of one
-   elimination of the augmented matrix, in the same order.  An int
-   return and unit-returning passes keep every call allocation-free. *)
+   elimination of the augmented matrix, in the same order.  Int and
+   bool returns keep every call allocation-free. *)
 (* qsens-hot: begin *)
 let factor_strided (a : float array) n stride (piv : int array) =
   let swaps = ref 0 in
@@ -118,29 +118,42 @@ let replay (a : float array) n stride (piv : int array) (b : float array) =
   done
 
 (* Overwrites the reduced right-hand side in [x] with the solution, row
-   [n - 1] first, each row's sum in ascending column order. *)
-let back_substitute (a : float array) n stride (x : float array) =
-  for i = n - 1 downto 0 do
-    let ri = i * stride in
-    let acc = ref x.(i) in
-    for j = i + 1 to n - 1 do
-      acc := !acc -. (a.(ri + j) *. x.(j))
+   [n - 1] first, each row's sum in ascending column order.  Stops and
+   returns false at the first coordinate with [x_i - hi_i > eps] or
+   [lo_i - x_i > eps], leaving the coordinates below it unsolved; true
+   when every coordinate is solved.  An infinite bound never stops it:
+   [x - infinity] and [neg_infinity - x] are never above [eps]. *)
+let back_substitute (a : float array) n stride ~lo ~hi eps (x : float array) =
+  let inside = ref true and i = ref (n - 1) in
+  while !inside && !i >= 0 do
+    let k = !i in
+    let rk = k * stride in
+    let acc = ref x.(k) in
+    for j = k + 1 to n - 1 do
+      acc := !acc -. (a.(rk + j) *. x.(j))
     done;
-    x.(i) <- !acc /. a.(ri + i)
-  done
+    let xk = !acc /. a.(rk + k) in
+    x.(k) <- xk;
+    inside := not (xk -. hi.(k) > eps || lo.(k) -. xk > eps);
+    decr i
+  done;
+  !inside
 
 let factor n lu piv =
   if n < 0 || Array.length lu <> n * n || Array.length piv < n then
     invalid_arg "Mat.factor: buffer size mismatch";
   factor_strided lu n n piv
 
-let solve_factored n lu piv x =
+let solve_factored n lu piv ~lo ~hi ~eps x =
   if n < 0 || Array.length lu <> n * n || Array.length piv < n
-     || Array.length x <> n
+     || Array.length x <> n || Array.length lo <> n || Array.length hi <> n
   then invalid_arg "Mat.solve_factored: buffer size mismatch";
   replay lu n n piv x;
-  back_substitute lu n n x
+  back_substitute lu n n ~lo ~hi eps x
 (* qsens-hot: end *)
+
+(* Bounds for the plain solvers, which never stop early. *)
+let unbounded n = (Array.make n neg_infinity, Array.make n infinity)
 
 let solve_in_place n aug x =
   if n < 0 || Array.length aug <> n * (n + 1) || Array.length x <> n then
@@ -152,7 +165,8 @@ let solve_in_place n aug x =
   let piv = Array.make n 0 in
   ignore (factor_strided aug n nc piv);
   replay aug n nc piv x;
-  back_substitute aug n nc x
+  let lo, hi = unbounded n in
+  ignore (back_substitute aug n nc ~lo ~hi 0. x)
 
 let solve m b =
   let n = m.nr in
@@ -169,12 +183,12 @@ let inverse m =
   if m.nc <> n then invalid_arg "Mat.inverse: matrix not square";
   let lu = Array.copy m.a and piv = Array.make n 0 in
   ignore (factor_strided lu n n piv);
-  let inv = make n n 0. and e = Array.make n 0. in
+  let inv = make n n 0. and e = Array.make n 0. and lo, hi = unbounded n in
   for c = 0 to n - 1 do
     Array.fill e 0 n 0.;
     e.(c) <- 1.;
     replay lu n n piv e;
-    back_substitute lu n n e;
+    ignore (back_substitute lu n n ~lo ~hi 0. e);
     for i = 0 to n - 1 do
       set inv i c e.(i)
     done

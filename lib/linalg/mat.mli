@@ -67,9 +67,11 @@ val solve_in_place : int -> float array -> Vec.t -> unit
     substitution in ascending column order.  Each right-hand side gets
     exactly the operations it got as an extra column of one augmented
     elimination, so the results are bit for bit those of eliminating
-    [aug] whole.  Allocates only its [n]-entry pivot record.  Raises
-    [Singular] as {!solve} does, leaving [aug] partly reduced, and
-    [Invalid_argument] when the buffer lengths do not match [n]. *)
+    [aug] whole.  Its back substitution runs {!solve_factored}'s loop
+    with infinite bounds, which never stop it.  Allocates only its
+    [n]-entry pivot record and those bounds.  Raises [Singular] as
+    {!solve} does, leaving [aug] partly reduced, and [Invalid_argument]
+    when the buffer lengths do not match [n]. *)
 
 val factor : int -> float array -> int array -> int
 (** [factor n lu piv] factors the [n x n] row-major matrix in [lu] in
@@ -87,14 +89,30 @@ val factor : int -> float array -> int array -> int
     and [Invalid_argument] unless [lu] has [n * n] entries and [piv] at
     least [n]. *)
 
-val solve_factored : int -> float array -> int array -> Vec.t -> unit
-(** [solve_factored n lu piv x] solves the system {!factor} left in
-    [lu] and [piv] for the right-hand side held in [x], overwriting it
-    with the solution: each step's swap and nonzero multipliers in step
-    order, then back substitution.  Bit-identical to {!solve_in_place}
-    on the same matrix and right-hand side.  [lu] and [piv] are not
-    modified.  Allocates nothing.  Raises [Invalid_argument] when the
-    buffer lengths do not match [n]. *)
+val solve_factored :
+  int ->
+  float array ->
+  int array ->
+  lo:float array ->
+  hi:float array ->
+  eps:float ->
+  Vec.t ->
+  bool
+(** [solve_factored n lu piv ~lo ~hi ~eps x] solves the system
+    {!factor} left in [lu] and [piv] for the right-hand side held in
+    [x], overwriting it with the solution: each step's swap and nonzero
+    multipliers in step order, then back substitution, coordinate
+    [n - 1] first.  Back substitution stops as soon as a computed
+    coordinate has [x_i -. hi.(i) > eps] or [lo.(i) -. x_i > eps] and
+    returns [false]; [x] then holds that coordinate and the ones above
+    it, each bit-identical to the full solve's, and partly reduced
+    entries below it.  Otherwise it returns [true] with the whole
+    solution.  An infinite bound ([neg_infinity] in [lo], [infinity] in
+    [hi]) never stops it, and with such bounds the solution is
+    bit-identical to {!solve_in_place} on the same matrix and
+    right-hand side.  [lu] and [piv] are not modified.  Allocates
+    nothing.  Raises [Invalid_argument] when the buffer lengths do not
+    match [n]. *)
 
 val inverse : t -> t
 (** Matrix inverse via Gaussian elimination.  Raises [Singular]. *)

@@ -301,6 +301,28 @@ let test_discovery_budget () =
   Alcotest.(check bool) "budget respected" true (r.probes <= 4);
   Alcotest.(check bool) "not verified" false r.verified_complete
 
+(* The probe memo: a point is probed once per distinct [%.12g] text,
+   looked up by its bits first.  On a one-dimensional box whose bounds
+   are [-0.] and [0.], the two have different bits and different keys
+   ("-0" and "0"), so both are probed.  On [1, 1 + 2^-52] the bounds
+   have different bits but the same key, "1", so only the first is. *)
+let test_discovery_probe_memo () =
+  let discover lo hi =
+    let seen = ref [] in
+    let oracle =
+      Oracle.make ~dim:1 ~probe:(fun theta ->
+          seen := Int64.bits_of_float theta.(0) :: !seen;
+          ("P", [| 1. |]))
+    in
+    let r = Candidates.discover oracle ~box:(Box.make [| lo |] [| hi |]) in
+    (r.probes, List.rev !seen)
+  in
+  let bits = List.map Int64.bits_of_float in
+  Alcotest.(check (pair int (list int64))) "0. and -0." (2, bits [ 0.; -0. ])
+    (discover (-0.) 0.);
+  Alcotest.(check (pair int (list int64))) "same %.12g text" (1, bits [ 1. ])
+    (discover 1. (1. +. epsilon_float))
+
 (* Property: discovery against a brute-force reference.  For random plan
    sets in 2-3 dimensions, the candidate plans found by discovery must
    include every plan that a dense grid sweep finds optimal somewhere. *)
@@ -642,6 +664,7 @@ let () =
             test_discovery_skips_never_optimal;
           Alcotest.test_case "narrow cone" `Quick test_discovery_narrow_cone;
           Alcotest.test_case "probe budget" `Quick test_discovery_budget;
+          Alcotest.test_case "probe memo" `Quick test_discovery_probe_memo;
         ] );
       ( "worst-case",
         [

@@ -207,8 +207,9 @@ let test_vertex_enum_too_large () =
       ignore (Vertex_enum.vertices ~max_subsets:10 (Box.to_halfspaces b)))
 
 (* A polytope with no vertex at all (x0 <= -1 against the box's
-   x0 >= 1) over more than 10^5 subsets, most of which reach a solve
-   and the feasibility scan. *)
+   x0 >= 1) over more than 10^5 subsets, most of which reach a solve.
+   x0 <= -1 is itself a unit row, so every solve stops on a box bound
+   before the feasibility scan. *)
 let empty_polytope () =
   let n = 6 in
   let st = Random.State.make [| 7 |] in
@@ -237,15 +238,49 @@ let test_vertex_enum_alloc () =
   if minor > 0.1 then
     Alcotest.failf "%.3f minor words per subset (limit 0.1)" minor
 
+(* The allocation guard again, where [empty_polytope] no longer reaches:
+   its x0 <= -1 is a unit row, so every solve there stops on a box
+   bound.  Here a polytope with no vertex and no unit row,
+   x0 + x1 <= -1 against x0 + x1 >= 1 beside 21 random rows, has no
+   box bound, so every solve goes on to the guard and the feasibility
+   scan, which must not allocate either. *)
+let test_vertex_enum_alloc_scan () =
+  let n = 6 in
+  let st = Random.State.make [| 7 |] in
+  let random () =
+    Halfspace.make
+      (Array.init n (fun _ -> Random.State.float st 2. -. 1.))
+      (Random.State.float st 1.)
+  in
+  let pair sign = Halfspace.make (Array.init n (fun j -> if j < 2 then sign else 0.)) (-1.) in
+  let hs = pair 1. :: pair (-1.) :: List.init 21 (fun _ -> random ()) in
+  let subsets = Vertex_enum.count_subsets (List.length hs) n in
+  let vs, minor, _ =
+    Qsens_obs.Obs.measure_alloc ~n:subsets (fun () ->
+        Vertex_enum.vertices ~max_subsets:subsets hs)
+  in
+  Alcotest.(check int) "no vertex" 0 (List.length vs);
+  if minor > 0.1 then
+    Alcotest.failf "%.3f minor words per subset (limit 0.1)" minor;
+  match
+    Obs_totals.run
+      [ "vertex_enum.solved"; "vertex_enum.rejected" ]
+      (fun () -> Vertex_enum.vertices ~max_subsets:subsets hs)
+  with
+  | Ok _, counts -> Alcotest.(check (list int)) "every solve scanned" [ 94962; 0 ] counts
+  | Error e, _ -> Alcotest.fail e
+
 (* The work counters, pinned.  An enumerator that factored every subset
-   afresh, or re-solved every facet choice, would pass every
-   bit-identity test; only the counts tell it apart.  On
-   [empty_polytope] the six box pairs make each class stand for up to
-   2^6 subsets; on a box straddling the origin cut by rows through it,
-   some choices' solutions have zero coordinates and are re-solved. *)
+   afresh, re-solved every facet choice, or scanned every solution in
+   full would pass every bit-identity test; only the counts tell it
+   apart.  On [empty_polytope] the six box pairs make each class stand
+   for up to 2^6 subsets, and every solve stops on a box bound.  On a
+   box straddling the origin cut by rows through it, 15 of the 36
+   solves stop on a box bound, and 4 survivors have zero coordinates
+   and are re-solved. *)
 let enum_counters =
   List.map (( ^ ) "vertex_enum.")
-    [ "subsets"; "skipped"; "factored"; "solved"; "resolved"; "vertices" ]
+    [ "subsets"; "skipped"; "factored"; "solved"; "rejected"; "resolved"; "vertices" ]
 
 let test_vertex_enum_counters () =
   let count hs =
@@ -254,13 +289,13 @@ let test_vertex_enum_counters () =
     | Error e, _ -> Alcotest.fail e
   in
   let _, hs = empty_polytope () in
-  Alcotest.(check (list int)) "empty polytope" [ 100947; 41545; 11011; 59402; 0; 0 ] (count hs);
+  Alcotest.(check (list int)) "empty polytope" [ 100947; 41545; 11011; 59402; 59402; 0; 0 ] (count hs);
   let hs =
     Halfspace.make [| 2.; -1.; -2. |] 0.
     :: Halfspace.make [| -2.; 1.; -2. |] 0.
     :: Box.to_halfspaces (Box.make [| -3.; -1.; -1. |] [| 1.; 2.; 3. |])
   in
-  Alcotest.(check (list int)) "straddling box" [ 56; 18; 10; 36; 5; 9 ] (count hs)
+  Alcotest.(check (list int)) "straddling box" [ 56; 18; 10; 36; 15; 4; 9 ] (count hs)
 
 (* Bit-identity against the brute-force reference (test/vertex_enum_ref.ml).
    Regions are built the way discovery builds them — [Region.of_plans],
@@ -442,6 +477,95 @@ let prop_zero_vertices_match_reference =
           | _ -> false)
         [ None; Some pool1; Some pool2; Some pool3 ])
 
+(* Bit-identity where the box-bound test in back substitution starts and
+   stops applying.  Rows mix small-integer rows; unit and scaled unit
+   rows [c e_j], c in {1, -1, 2, -2, 0.5, -0.5}, of which only |c| = 1
+   bounds a coordinate, some with their facet [eps] outside the box,
+   where [x - hi > eps] is false and [>=] would be true; offsets from
+   1e200 to 1e308, which put a call on either side of the finiteness
+   gate, and infinite ones; and entries at and past the skip rules'
+   2^(1022 - n) gate, where no call passes the finiteness gate.  The
+   box's facets come first or last. *)
+
+let gen_gate_case st =
+  let open QCheck.Gen in
+  let m = int_range 2 4 st in
+  let small () = Float.of_int (int_range (-3) 3 st) in
+  let signed v = if bool st then v else -.v in
+  let lo = Array.init m (fun _ -> -.Float.of_int (int_range 0 3 st))
+  and hi = Array.init m (fun _ -> Float.of_int (int_range 0 3 st)) in
+  let big () =
+    signed (if int_bound 2 st = 0 then infinity else Float.pow 10. (float_range 200. 308. st))
+  in
+  let huge () =
+    signed
+      (oneofl
+         [
+           Float.ldexp 1. (1022 - m);
+           Float.ldexp (1. -. epsilon_float) (1022 - m);
+           Float.ldexp 1. (1023 - m);
+         ]
+         st)
+  in
+  let row () =
+    match int_bound 3 st with
+    | 0 ->
+        let j = int_bound (m - 1) st and c = oneofl [ 1.; -1.; 2.; -2.; 0.5; -0.5 ] st in
+        let normal = Array.init m (fun i -> if i = j then c else signed 0.) in
+        let offset =
+          if bool st then small ()
+          else if c > 0. then c *. (hi.(j) +. 1e-7)
+          else c *. (lo.(j) -. 1e-7)
+        in
+        Halfspace.make normal offset
+    | 1 -> Halfspace.make (Array.init m (fun _ -> small ())) (big ())
+    | 2 ->
+        Halfspace.make
+          (Array.init m (fun _ -> if bool st then huge () else small ()))
+          (small ())
+    | _ -> Halfspace.make (Array.init m (fun _ -> small ())) (small ())
+  in
+  let rows = List.init (int_range 1 6 st) (fun _ -> row ()) in
+  let box = Box.to_halfspaces (Box.make lo hi) in
+  { kind = "gate"; hs = (if bool st then box @ rows else rows @ box) }
+
+let prop_gate_vertices_match_reference =
+  QCheck.Test.make ~count:1000
+    ~name:"vertices: bit-identical to the reference across the finiteness gate"
+    (QCheck.make ~print:print_zero_case gen_gate_case)
+    (fun c ->
+      let run f = match f () with vs -> Some vs | exception Vertex_enum.Too_large -> None in
+      let expected = run (fun () -> Vertex_enum_ref.vertices c.hs) in
+      List.for_all
+        (fun pool ->
+          match (expected, run (fun () -> Vertex_enum.vertices ?pool c.hs)) with
+          | None, None -> true
+          | Some e, Some v -> List.length e = List.length v && List.for_all2 same_bits e v
+          | _ -> false)
+        [ None; Some pool1; Some pool2; Some pool3 ])
+
+(* A solve whose first computed coordinate, x1 = 1e308, is far outside
+   its box while the last, x0 = (infinity - 10 * 1e308) / 1, comes out
+   NaN.  Every row product of that point is then NaN, which the
+   feasibility scan passes, so the reference returns it as a vertex.
+   The infinite offset puts the call outside the finiteness gate, where
+   no bound stops a solve. *)
+let test_vertex_enum_nan_vertex () =
+  let hs =
+    Halfspace.make [| 1.; 10. |] infinity
+    :: Halfspace.make [| 0.; 1. |] 1e308
+    :: Box.to_halfspaces (Box.make [| -1.; -1. |] [| 1.; 1. |])
+  in
+  let expected = Vertex_enum_ref.vertices hs in
+  Alcotest.(check bool) "the reference returns the NaN point" true
+    (List.exists (fun v -> Float.is_nan v.(0) && v.(1) = 1e308) expected);
+  List.iter
+    (fun pool ->
+      let got = Vertex_enum.vertices ?pool hs in
+      Alcotest.(check bool) "bit-identical to the reference" true
+        (List.length expected = List.length got && List.for_all2 same_bits expected got))
+    [ None; Some pool1; Some pool2; Some pool3 ]
+
 (* Discovery on the split layout for five queries whose verification
    phase enumerates regions of influence, hashed with every plan's
    signature and exact (%h) effective usage, the probe count and the
@@ -591,6 +715,7 @@ let () =
         prop_fractional_attains_max;
         prop_vertices_match_reference;
         prop_zero_vertices_match_reference;
+        prop_gate_vertices_match_reference;
       ]
   in
   Alcotest.run "geom"
@@ -632,7 +757,11 @@ let () =
             test_golden_discovery;
           Alcotest.test_case "allocation per subset" `Quick
             test_vertex_enum_alloc;
+          Alcotest.test_case "allocation through the feasibility scan" `Quick
+            test_vertex_enum_alloc_scan;
           Alcotest.test_case "work counters" `Quick test_vertex_enum_counters;
+          Alcotest.test_case "NaN vertex past the finiteness gate" `Quick
+            test_vertex_enum_nan_vertex;
         ] );
       ( "fractional",
         [

@@ -309,8 +309,9 @@ let prop_mat_matches_whole_elimination =
         outcome (fun () ->
             let lu = Array.copy a and piv = Array.make n 0 and x = Array.copy b in
             ignore (Mat.factor n lu piv);
-            Mat.solve_factored n lu piv x;
-            x)
+            let lo = Array.make n neg_infinity and hi = Array.make n infinity in
+            (* Infinite bounds must never stop the solve. *)
+            if Mat.solve_factored n lu piv ~lo ~hi ~eps:0. x then x else [||])
       and inverse =
         outcome (fun () ->
             let inv = Mat.inverse m in
@@ -324,6 +325,65 @@ let prop_mat_matches_whole_elimination =
            [| Whole_elimination.determinant n a |]
            [| Mat.determinant m |])
 
+(* Bounded back substitution: with finite bounds, [solve_factored]
+   stops exactly at the first coordinate it computes (the highest
+   index) whose full-solve value is outside [lo - eps, hi + eps], and
+   every coordinate it has computed by then is bit for bit the full
+   solve's.  Each bound is infinite, a random entry, or the coordinate's
+   own full-solve value, where [x - x > 0] is false and [>=] would
+   stop. *)
+let gen_bounded =
+  let open QCheck.Gen in
+  gen_system >>= fun (n, a, b) ->
+  map
+    (fun (codes, eps) -> (n, a, b, codes, eps))
+    (pair
+       (array_size (return (2 * n)) (pair (int_bound 2) gen_entry))
+       (oneofl [ 0.; 1e-7; 1. ]))
+
+let print_bounded (n, a, b, codes, eps) =
+  Printf.sprintf "%s, bounds [%s], eps %h" (print_system (n, a, b))
+    (String.concat " "
+       (Array.to_list (Array.map (fun (c, v) -> Printf.sprintf "%d:%h" c v) codes)))
+    eps
+
+let prop_bounded_back_substitution =
+  QCheck.Test.make ~count:2000
+    ~name:"mat: bounded back substitution stops at the first coordinate out of bounds"
+    (QCheck.make ~print:print_bounded gen_bounded)
+    (fun (n, a, b, codes, eps) ->
+      let lu = Array.copy a and piv = Array.make n 0 in
+      match Mat.factor n lu piv with
+      | exception Mat.Singular -> true
+      | _ ->
+          let solve lo hi =
+            let x = Array.copy b in
+            let full = Mat.solve_factored n lu piv ~lo ~hi ~eps x in
+            (full, x)
+          in
+          let _, expected =
+            solve (Array.make n neg_infinity) (Array.make n infinity)
+          in
+          let bound k default =
+            match codes.(k) with
+            | 0, _ -> default
+            | 1, _ -> expected.(k mod n)
+            | _, v -> v
+          in
+          let lo = Array.init n (fun i -> bound i neg_infinity)
+          and hi = Array.init n (fun i -> bound (n + i) infinity) in
+          let out i =
+            expected.(i) -. hi.(i) > eps || lo.(i) -. expected.(i) > eps
+          in
+          let stop = ref (-1) in
+          for i = 0 to n - 1 do
+            if out i then stop := i
+          done;
+          let full, x = solve lo hi in
+          let from = if !stop < 0 then 0 else !stop in
+          full = (!stop < 0)
+          && same_bits (Array.sub x from (n - from)) (Array.sub expected from (n - from)))
+
 let prop_dominates_irreflexive =
   QCheck.Test.make ~count:200 ~name:"dominates is irreflexive"
     (arb_vec 4) (fun a -> not (Vec.dominates a a))
@@ -332,7 +392,7 @@ let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest
       [ prop_dot_symmetric; prop_dot_linear; prop_solve_roundtrip;
         prop_least_squares_recovers; prop_dominates_irreflexive;
-        prop_mat_matches_whole_elimination ]
+        prop_mat_matches_whole_elimination; prop_bounded_back_substitution ]
   in
   Alcotest.run "linalg"
     [
