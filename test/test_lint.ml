@@ -299,6 +299,28 @@ let test_k003_string_building () =
        "(* qsens-lint: disable=K003 — one string per new slot *)\n\
         let key okey w = okey ^ string_of_int w\n")
 
+(* The JSON number encoder writes one token per float of every
+   response; a per-number string there is the printf cost it replaced. *)
+let test_k003_json_encoder () =
+  check_diags "a per-number string fires"
+    [ (2, "K003"); (2, "K003") ]
+    ~file:"lib/server/json.ml"
+    (hot "let token n = \"-\" ^ string_of_int n\n");
+  check_diags "Printf.sprintf fires"
+    [ (2, "K003") ]
+    ~file:"lib/server/json.ml"
+    (hot "let token f = Printf.sprintf \"%.17g\" f\n");
+  check_diags "a scratch per number fires"
+    [ (2, "K003") ]
+    ~file:"lib/server/json.ml"
+    (hot "let add buf f = Buffer.add_bytes buf (Bytes.create 24)\n");
+  check_diags "the out-of-range C call is not a K003 name" []
+    ~file:"lib/server/json.ml"
+    (hot "let add buf f = Buffer.add_string buf (format_float \"%.17g\" f)\n");
+  check_diags "the parser outside the markers may allocate" []
+    ~file:"lib/server/json.ml"
+    "let parse src = String.sub src 0 4 ^ \"x\"\n"
+
 (* ------------------------------------------------------------------ *)
 (* Suppression comments *)
 
@@ -460,6 +482,8 @@ let () =
             test_k003_suppressible;
           Alcotest.test_case "string building, error messages exempt" `Quick
             test_k003_string_building;
+          Alcotest.test_case "the JSON number encoder" `Quick
+            test_k003_json_encoder;
         ] );
       ( "suppression",
         [

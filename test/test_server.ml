@@ -70,6 +70,25 @@ let test_json_errors () =
   bad "\"unterminated";
   bad "{\"a\":nope}"
 
+(* A \u escape is exactly four hex digits: OCaml's [_] digit separators
+   must not slip through as they would with [int_of_string]. *)
+let test_json_unicode_escapes () =
+  let decode s = Option.bind (Result.to_option (Json.of_string s)) Json.to_str in
+  Alcotest.(check (option string)) "\\u0041 is A" (Some "A")
+    (decode "\"\\u0041\"");
+  Alcotest.(check (option string)) "upper- and lower-case hex" (Some "\xc3\xa9\xc3\xa9")
+    (decode "\"\\u00E9\\u00e9\"");
+  List.iter
+    (fun s ->
+      match Json.of_string s with
+      | Ok _ -> Alcotest.fail (Printf.sprintf "accepted %S" s)
+      | Error m ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S: %s" s m)
+            true
+            (String.ends_with ~suffix:"bad \\u escape" m))
+    [ "\"\\u00_1\""; "\"\\u1_2_\""; "\"\\u+041\""; "\"\\u004g\"" ]
+
 let test_json_non_finite () =
   List.iter
     (fun (f, s) ->
@@ -133,23 +152,58 @@ let printf_token f =
   else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%.17g" f
 
+(* [x] moved [j] ulps up ([j > 0]) or down. *)
+let rec ulps x j =
+  if j > 0 then ulps (Float.succ x) (j - 1)
+  else if j < 0 then ulps (Float.pred x) (j + 1)
+  else x
+
+let signed = QCheck.Gen.map2 (fun x neg -> if neg then -.x else x)
+
+(* Most bit patterns lie outside [1e-5, 1e17), the range the encoder
+   writes with integer arithmetic, so the generator aims at it: whole
+   magnitudes, powers of ten and their neighbours, exact ties at the
+   17th digit, the integers where the two formats meet, and the points
+   where [%g] switches layout. *)
+let gen_number_token =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map Int64.float_of_bits int64);
+        (6, signed (map (fun l -> 10. ** l) (float_range (-6.) 18.)) bool);
+        ( 3,
+          signed
+            (map2
+               (fun k j -> ulps (float_of_string (Printf.sprintf "1e%d" k)) j)
+               (int_range (-6) 18) (int_range (-2) 2))
+            bool );
+        ( 3,
+          map2
+            (fun k half -> Float.of_int k +. half)
+            (int_range 1_000_000_000_000_000 ((1 lsl 52) - 1))
+            (oneofl [ 0.25; 0.75 ]) );
+        ( 1,
+          map Float.of_int
+            (int_range 1_000_000_000_000_000 100_000_000_000_000_000) );
+        (1, map (fun d -> Float.of_int ((1 lsl 53) + d)) (int_range (-64) 64));
+        ( 1,
+          signed
+            (map2 ulps (oneofl [ 1e-5; 1e-4; 1e16; 1e17 ]) (int_range (-3) 3))
+            bool );
+        ( 1,
+          oneofl
+            [
+              0.; -0.; 5e-324; -5e-324; 0x0.fffffffffffffp-1022; 0x1p-1022;
+              1e15; -1e15; Float.pred 1e15; Float.succ 1e15; Float.max_float;
+              -.Float.max_float; 0.1; 1e-310;
+            ] );
+        (1, map Float.of_int int);
+      ])
+
 let prop_json_float_tokens =
-  QCheck.Test.make ~count:20_000
+  QCheck.Test.make ~count:160_000
     ~name:"json: number tokens == Printf.sprintf, any bit pattern"
-    (QCheck.make ~print:(Printf.sprintf "%h")
-       QCheck.Gen.(
-         frequency
-           [
-             (8, map Int64.float_of_bits int64);
-             ( 1,
-               oneofl
-                 [
-                   0.; -0.; 5e-324; -5e-324; 0x0.fffffffffffffp-1022;
-                   0x1p-1022; 1e15; -1e15; Float.pred 1e15; Float.succ 1e15;
-                   Float.max_float; -.Float.max_float; 0.1; 1e-310;
-                 ] );
-             (1, map Float.of_int int);
-           ]))
+    (QCheck.make ~print:(Printf.sprintf "%h") gen_number_token)
     (fun f -> String.equal (Json.to_string (Json.Num f)) (printf_token f))
 
 (* ------------------------------------------------------------------ *)
@@ -798,6 +852,7 @@ let () =
         [
           Alcotest.test_case "golden" `Quick test_json_golden;
           Alcotest.test_case "errors" `Quick test_json_errors;
+          Alcotest.test_case "unicode escapes" `Quick test_json_unicode_escapes;
           Alcotest.test_case "non-finite" `Quick test_json_non_finite;
           QCheck_alcotest.to_alcotest prop_json_roundtrip;
           QCheck_alcotest.to_alcotest prop_json_float_tokens;

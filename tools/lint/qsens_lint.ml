@@ -209,6 +209,7 @@ let k003_scope file =
       "lib/geom/vertex_enum.ml";
       "lib/plan/node.ml";
       "lib/optimizer/optimizer.ml";
+      "lib/server/json.ml";
     ]
 
 (* ------------------------------------------------------------------ *)
