@@ -116,49 +116,11 @@ let narrow_oracle ?(seed = 23) ?faults ?retry ?breaker s ~box =
   in
   (oracle, narrow)
 
-type census = {
-  pairs : int;
-  complementary_pairs : int;
-  near_pairs : int;
-  by_kind : (Complementary.kind * int) list;
-  max_element_ratio : float;
-  theorem2 : float;
-}
+type census = Complementary.census
 
 let census_of s (plans : Candidates.plan list) =
-  let arr = Array.of_list plans in
-  let n = Array.length arr in
-  let pairs = ref 0
-  and comp = ref 0
-  and near = ref 0
-  and ratio = ref 1. in
-  let kind_counts = Hashtbl.create 4 in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      incr pairs;
-      let v = Complementary.classify ~dims:s.dims arr.(i).eff arr.(j).eff in
-      if v.complementary then incr comp;
-      if v.near then incr near;
-      if Float.is_finite v.max_ratio && v.max_ratio > !ratio then
-        ratio := v.max_ratio;
-      if v.complementary || v.near then
-        List.iter
-          (fun k ->
-            Hashtbl.replace kind_counts k
-              (1 + Option.value ~default:0 (Hashtbl.find_opt kind_counts k)))
-          v.kinds
-    done
-  done;
-  {
-    pairs = !pairs;
-    complementary_pairs = !comp;
-    near_pairs = !near;
-    by_kind =
-      Hashtbl.fold (fun k c acc -> (k, c) :: acc) kind_counts []
-      |> List.sort (fun (a, _) (b, _) -> Complementary.compare_kind a b);
-    max_element_ratio = !ratio;
-    theorem2 = Bounds.theorem2_bound (Array.map (fun p -> p.Candidates.eff) arr);
-  }
+  Complementary.census ~dims:s.dims
+    (Array.of_list (List.map (fun (p : Candidates.plan) -> p.eff) plans))
 
 type report = {
   query_name : string;

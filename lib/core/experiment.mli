@@ -63,17 +63,11 @@ val narrow_oracle :
     Unrecoverable failures raise {!Narrow_estimation_failed} with the
     typed cause. *)
 
-type census = {
-  pairs : int;
-  complementary_pairs : int;
-  near_pairs : int;
-  by_kind : (Complementary.kind * int) list;
-      (** how many (near-)complementary pairs exhibit each cause *)
-  max_element_ratio : float;  (** largest finite ratio over pairs *)
-  theorem2 : float;  (** the constant bound when no pair is complementary *)
-}
+type census = Complementary.census
 
 val census_of : setup -> Candidates.plan list -> census
+(** {!Complementary.census} of the plans' effective usage over the
+    setup's active dimensions. *)
 
 type report = {
   query_name : string;

@@ -198,27 +198,31 @@ let hex_digit = function
   | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
   | _ -> -1
 
+(* The scanner tests the byte at the cursor in place: no [char option]
+   per byte, no polymorphic compare, and an escape-free string is one
+   [String.sub]. *)
 let parse src =
   let n = String.length src in
   let pos = ref 0 in
   let fail msg = raise (Parse_error (!pos, msg)) in
-  let peek () = if !pos < n then Some src.[!pos] else None in
-  let advance () = incr pos in
+  let at c = !pos < n && Char.equal src.[!pos] c in
   let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
+    if !pos < n then
+      match src.[!pos] with
+      | ' ' | '\t' | '\n' | '\r' ->
+          incr pos;
+          skip_ws ()
+      | _ -> ()
   in
   let expect c =
-    match peek () with
-    | Some d when Char.equal d c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
+    if at c then incr pos else fail (Printf.sprintf "expected %c" c)
   in
   let literal word value =
     let k = String.length word in
-    if !pos + k <= n && String.equal (String.sub src !pos k) word then begin
+    let rec matches i =
+      i = k || (Char.equal src.[!pos + i] word.[i] && matches (i + 1))
+    in
+    if !pos + k <= n && matches 0 then begin
       pos := !pos + k;
       value
     end
@@ -237,54 +241,59 @@ let parse src =
       Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
     end
   in
+  (* Moves the cursor to the next quote, backslash or the end. *)
+  let skip_plain () =
+    while !pos < n && match src.[!pos] with '"' | '\\' -> false | _ -> true do
+      incr pos
+    done
+  in
+  (* The cursor is at a quote, a backslash or the end. *)
+  let rec escaped buf =
+    if !pos >= n then fail "unterminated string";
+    let c = src.[!pos] in
+    incr pos;
+    if Char.equal c '"' then Buffer.contents buf
+    else begin
+      if !pos >= n then fail "unterminated escape";
+      let e = src.[!pos] in
+      incr pos;
+      (match e with
+      | '"' | '\\' | '/' -> Buffer.add_char buf e
+      | 'n' -> Buffer.add_char buf '\n'
+      | 't' -> Buffer.add_char buf '\t'
+      | 'r' -> Buffer.add_char buf '\r'
+      | 'b' -> Buffer.add_char buf '\b'
+      | 'f' -> Buffer.add_char buf '\012'
+      | 'u' ->
+          if !pos + 4 > n then fail "truncated \\u escape";
+          let code = ref 0 in
+          for i = !pos to !pos + 3 do
+            let d = hex_digit src.[i] in
+            if d < 0 then fail "bad \\u escape";
+            code := (!code lsl 4) lor d
+          done;
+          pos := !pos + 4;
+          utf8 buf !code
+      | _ -> fail "unknown escape");
+      let run = !pos in
+      skip_plain ();
+      Buffer.add_substring buf src run (!pos - run);
+      escaped buf
+    end
+  in
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      let c = src.[!pos] in
-      advance ();
-      match c with
-      | '"' -> Buffer.contents buf
-      | '\\' -> (
-          if !pos >= n then fail "unterminated escape";
-          let e = src.[!pos] in
-          advance ();
-          match e with
-          | '"' | '\\' | '/' ->
-              Buffer.add_char buf e;
-              go ()
-          | 'n' ->
-              Buffer.add_char buf '\n';
-              go ()
-          | 't' ->
-              Buffer.add_char buf '\t';
-              go ()
-          | 'r' ->
-              Buffer.add_char buf '\r';
-              go ()
-          | 'b' ->
-              Buffer.add_char buf '\b';
-              go ()
-          | 'f' ->
-              Buffer.add_char buf '\012';
-              go ()
-          | 'u' ->
-              if !pos + 4 > n then fail "truncated \\u escape";
-              let code = ref 0 in
-              for i = !pos to !pos + 3 do
-                let d = hex_digit src.[i] in
-                if d < 0 then fail "bad \\u escape";
-                code := (!code lsl 4) lor d
-              done;
-              pos := !pos + 4;
-              utf8 buf !code;
-              go ()
-          | _ -> fail "unknown escape")
-      | c -> Buffer.add_char buf c;
-          go ()
-    in
-    go ()
+    let start = !pos in
+    skip_plain ();
+    if at '"' then begin
+      incr pos;
+      String.sub src start (!pos - 1 - start)
+    end
+    else begin
+      let buf = Buffer.create 16 in
+      Buffer.add_substring buf src start (!pos - start);
+      escaped buf
+    end
   in
   let parse_number () =
     let start = !pos in
@@ -293,10 +302,8 @@ let parse src =
       | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
       | _ -> false
     in
-    while
-      match peek () with Some c -> is_num_char c | None -> false
-    do
-      advance ()
+    while !pos < n && is_num_char src.[!pos] do
+      incr pos
     done;
     let tok = String.sub src start (!pos - start) in
     match float_of_string_opt tok with
@@ -305,39 +312,35 @@ let parse src =
   in
   let rec parse_value () =
     skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some '[' ->
-        advance ();
+    if !pos >= n then fail "unexpected end of input";
+    match src.[!pos] with
+    | '"' -> Str (parse_string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | '[' ->
+        incr pos;
         skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
+        if at ']' then begin
+          incr pos;
           List []
         end
         else begin
           let items = ref [ parse_value () ] in
-          let rec more () =
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                items := parse_value () :: !items;
-                more ()
-            | Some ']' -> advance ()
-            | _ -> fail "expected , or ] in array"
-          in
-          more ();
+          skip_ws ();
+          while at ',' do
+            incr pos;
+            items := parse_value () :: !items;
+            skip_ws ()
+          done;
+          if at ']' then incr pos else fail "expected , or ] in array";
           List (List.rev !items)
         end
-    | Some '{' ->
-        advance ();
+    | '{' ->
+        incr pos;
         skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
+        if at '}' then begin
+          incr pos;
           Obj []
         end
         else begin
@@ -350,20 +353,16 @@ let parse src =
             (k, v)
           in
           let fields = ref [ field () ] in
-          let rec more () =
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                fields := field () :: !fields;
-                more ()
-            | Some '}' -> advance ()
-            | _ -> fail "expected , or } in object"
-          in
-          more ();
+          skip_ws ();
+          while at ',' do
+            incr pos;
+            fields := field () :: !fields;
+            skip_ws ()
+          done;
+          if at '}' then incr pos else fail "expected , or } in object";
           Obj (List.rev !fields)
         end
-    | Some _ -> parse_number ()
+    | _ -> parse_number ()
   in
   let v = parse_value () in
   skip_ws ();

@@ -12,8 +12,23 @@ type 'a node = {
 
 type stats = { hits : int; misses : int; evictions : int }
 
+type metrics = {
+  m_hits : Obs.metric;
+  m_misses : Obs.metric;
+  m_evictions : Obs.metric;
+}
+
+let metrics name =
+  let metric kind help =
+    Obs.counter ~help (Printf.sprintf "server.cache.%s.%s" name kind)
+  in
+  {
+    m_hits = metric "hits" "cache hits";
+    m_misses = metric "misses" "cache misses";
+    m_evictions = metric "evictions" "cache evictions (byte budget)";
+  }
+
 type 'a t = {
-  name : string;
   byte_budget : int;
   size_of : 'a -> int;
   table : (string, 'a node) Hashtbl.t;
@@ -23,18 +38,12 @@ type 'a t = {
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
-  m_hits : Obs.metric;
-  m_misses : Obs.metric;
-  m_evictions : Obs.metric;
+  metrics : metrics;
 }
 
-let create ~name ~byte_budget ~size_of =
+let create ~metrics ~byte_budget ~size_of =
   if byte_budget < 0 then invalid_arg "Lru.create: negative byte budget";
-  let metric kind help =
-    Obs.counter ~help (Printf.sprintf "server.cache.%s.%s" name kind)
-  in
   {
-    name;
     byte_budget;
     size_of;
     table = Hashtbl.create 64;
@@ -44,9 +53,7 @@ let create ~name ~byte_budget ~size_of =
     hits = 0;
     misses = 0;
     evictions = 0;
-    m_hits = metric "hits" "cache hits";
-    m_misses = metric "misses" "cache misses";
-    m_evictions = metric "evictions" "cache evictions (byte budget)";
+    metrics;
   }
 
 let unlink t node =
@@ -74,13 +81,13 @@ let find t key =
   match Hashtbl.find_opt t.table key with
   | Some node ->
       t.hits <- t.hits + 1;
-      Obs.add t.m_hits 1;
+      Obs.add t.metrics.m_hits 1;
       unlink t node;
       push_front t node;
       Some node.value
   | None ->
       t.misses <- t.misses + 1;
-      Obs.add t.m_misses 1;
+      Obs.add t.metrics.m_misses 1;
       None
 
 let mem t key = Hashtbl.mem t.table key
@@ -91,7 +98,7 @@ let evict_to_budget t =
     | Some node ->
         drop t node;
         t.evictions <- t.evictions + 1;
-        Obs.add t.m_evictions 1
+        Obs.add t.metrics.m_evictions 1
     | None -> t.bytes <- 0 (* unreachable: bytes > 0 implies a tail *)
   done
 

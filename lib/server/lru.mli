@@ -16,7 +16,15 @@
 
 type 'a t
 
-val create : name:string -> byte_budget:int -> size_of:('a -> int) -> 'a t
+type metrics
+(** One cache's [server.cache.<name>.{hits,misses,evictions}] counters. *)
+
+val metrics : string -> metrics
+(** Registers the counters of the cache called [name].  Create them once,
+    as a top-level value, and pass them to every {!create} of that
+    cache. *)
+
+val create : metrics:metrics -> byte_budget:int -> size_of:('a -> int) -> 'a t
 (** [size_of] is consulted once per insertion.  An entry larger than the
     whole budget is not admitted at all.  Raises [Invalid_argument] if
     [byte_budget < 0]. *)

@@ -15,6 +15,9 @@ let m_degraded =
     "server.degraded"
 
 let m_errors = Obs.counter ~help:"server typed error responses" "server.errors"
+let candidates_metrics = Lru.metrics "candidates"
+let sweeps_metrics = Lru.metrics "sweeps"
+let bnb_metrics = Lru.metrics "bnb"
 
 (* ------------------------------------------------------------------ *)
 (* Configuration *)
@@ -132,20 +135,20 @@ let load_snapshot t path =
         true
 
 let create ?(config = default_config) ?pool ?faults () =
-  let lru name = Lru.create ~name ~byte_budget:config.cache_bytes in
+  let lru metrics = Lru.create ~metrics ~byte_budget:config.cache_bytes in
   let t =
     {
       config;
       pool;
       faults;
       setups = Hashtbl.create 16;
-      candidates_cache = lru "candidates" ~size_of:marshal_size;
+      candidates_cache = lru candidates_metrics ~size_of:marshal_size;
       (* Sweep tables are flat unboxed arrays: their resident size is a
          pure function of the table dimensions, so the byte budget is
          charged exactly instead of via a marshalled-image guess (which
          under-counts the unboxed tables' resident footprint). *)
-      sweep_cache = lru "sweeps" ~size_of:Sweep.bytes;
-      bnb_cache = lru "bnb" ~size_of:Sweep.Bnb.bytes;
+      sweep_cache = lru sweeps_metrics ~size_of:Sweep.bytes;
+      bnb_cache = lru bnb_metrics ~size_of:Sweep.Bnb.bytes;
       breakers = Hashtbl.create 4;
       stopping = false;
       requests = 0;

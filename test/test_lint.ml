@@ -321,6 +321,25 @@ let test_k003_json_encoder () =
     ~file:"lib/server/json.ml"
     "let parse src = String.sub src 0 4 ^ \"x\"\n"
 
+(* The Section 8.2 census visits every plan pair; a kind list or a
+   count table per pair is the cost the one-pass build removed. *)
+let test_k003_census () =
+  check_diags "a kind list per pair fires"
+    [ (2, "K003") ]
+    ~file:"lib/core/complementary.ml"
+    (hot "let add k kinds = k :: kinds\n");
+  check_diags "a divergent-dimension array per pair fires"
+    [ (2, "K003") ]
+    ~file:"lib/core/complementary.ml"
+    (hot "let divergent m = Array.make m false\n");
+  check_diags "a support set per pair fires"
+    [ (2, "K003") ]
+    ~file:"lib/core/bounds.ml"
+    (hot "let pair a b = Array.map2 ( lxor ) a b\n");
+  check_diags "the per-plan facts outside the markers may allocate" []
+    ~file:"lib/core/complementary.ml"
+    "let facts vecs = Array.map Bounds.zero_threshold vecs\n"
+
 (* ------------------------------------------------------------------ *)
 (* Suppression comments *)
 
@@ -484,6 +503,7 @@ let () =
             test_k003_string_building;
           Alcotest.test_case "the JSON number encoder" `Quick
             test_k003_json_encoder;
+          Alcotest.test_case "the census pair loop" `Quick test_k003_census;
         ] );
       ( "suppression",
         [

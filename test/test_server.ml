@@ -209,8 +209,10 @@ let prop_json_float_tokens =
 (* ------------------------------------------------------------------ *)
 (* LRU *)
 
+let test_metrics = Lru.metrics "test"
+
 let lru_of_pairs budget pairs =
-  let c = Lru.create ~name:"test" ~byte_budget:budget ~size_of:String.length in
+  let c = Lru.create ~metrics:test_metrics ~byte_budget:budget ~size_of:String.length in
   List.iter (fun (k, v) -> Lru.put c k v) pairs;
   c
 
@@ -845,6 +847,237 @@ let test_soak_pooled () =
   let o = Soak.run { Soak.default_config with Soak.pool = Some pool2 } in
   check_soak "pooled" o
 
+(* ------------------------------------------------------------------ *)
+(* Seeded JSON fuzzer: the parser against its pre-rewrite reference
+   ([Json_ref]), and the server's line handler on the same hostile
+   input.  Inputs come from a grammar of JSON text with malformed,
+   huge, tiny and non-finite numbers, valid and bad escapes, unknown
+   fields and server requests, then get mutated byte by byte. *)
+
+module Fuzz = struct
+  open QCheck.Gen
+
+  let number =
+    oneof
+      [
+        map string_of_int (int_range (-1_000_000) 1_000_000);
+        map (Printf.sprintf "%.17g") (float_range (-1e6) 1e6);
+        map (fun e -> Printf.sprintf "1e%d" e) (int_range (-400) 400);
+        map (fun e -> Printf.sprintf "-2.5E+%d" e) (int_range 300 330);
+        oneofl
+          [ "0"; "-0"; "1e400"; "-1e400"; "1e-400"; "4.9e-324"; "2.4e-324";
+            "1.7976931348623157e308"; "1.8e308"; "123456789012345678901234567890";
+            "1.2.3"; "--1"; "+1"; ".5"; "5."; "1e"; "1e+"; "-"; "+"; "e5"; "E";
+            "0x10"; "1_000"; "nan"; "NaN"; "inf"; "-inf"; "Infinity"; "00012";
+            "1e5e5"; "\"inf\""; "\"-inf\""; "\"nan\"" ];
+      ]
+
+  let hex = oneofl [ "0041"; "00e9"; "20AC"; "ffff"; "0000"; "d800"; "7FfF" ]
+
+  let fragment =
+    frequency
+      [
+        (4, string_size ~gen:printable (int_range 0 8));
+        (2, oneofl [ "\\\""; "\\\\"; "\\/"; "\\b"; "\\f"; "\\n"; "\\r"; "\\t" ]);
+        (2, map (fun h -> "\\u" ^ h) hex);
+        ( 2,
+          oneofl
+            [ "\\u12"; "\\u12G4"; "\\u_123"; "\\u00_1"; "\\u"; "\\q"; "\\";
+              "\\x41"; "\\U0041" ] );
+        (1, map (String.make 1) (map Char.chr (int_range 0 31)));
+        (1, oneofl [ "\xc3\xa9"; "\xe2\x82\xac"; "\xff"; "\x80" ]);
+      ]
+
+  let str =
+    map
+      (fun frags -> "\"" ^ String.concat "" frags ^ "\"")
+      (list_size (int_range 0 5) fragment)
+
+  let ws = oneofl [ ""; ""; ""; " "; "\n"; "\t"; "\r\n "; "\x0b"; "\x00" ]
+
+  let literal =
+    oneofl [ "true"; "false"; "null"; "tru"; "nul"; "falsy"; "True"; "n" ]
+
+  let key =
+    frequency
+      [
+        ( 4,
+          oneofl
+            [ "\"id\""; "\"op\""; "\"query\""; "\"layout\""; "\"deltas\"";
+              "\"delta\""; "\"seed\""; "\"max_probes\""; "\"budget\"";
+              "\"scope\""; "\"requests\""; "\"initial\""; "\"bogus\""; "\"\"" ] );
+        (1, str);
+        (1, oneofl [ "id"; "'op'"; "1"; "" ]);
+      ]
+
+  (* Separators with occasional mistakes: a missing or doubled comma,
+     a trailing comma, a missing colon. *)
+  let comma = frequency [ (12, return ","); (1, oneofl [ ""; ",,"; ";" ]) ]
+  let colon = frequency [ (12, return ":"); (1, oneofl [ ""; "::"; "=" ]) ]
+  let close c = frequency [ (12, return c); (1, oneofl [ ""; ",]"; ",}" ]) ]
+
+  let join sep items =
+    match items with
+    | [] -> return ""
+    | first :: rest ->
+        List.fold_left
+          (fun acc item -> map2 (fun a s -> a ^ s ^ item) acc sep)
+          (return first) rest
+
+  let rec value depth =
+    let scalar = frequency [ (3, number); (3, str); (2, literal) ] in
+    let v =
+      if depth <= 0 then scalar
+      else
+        frequency
+          [
+            (4, scalar);
+            ( 1,
+              list_size (int_range 0 4) (value (depth - 1)) >>= fun items ->
+              map2 (fun body c -> "[" ^ body ^ c) (join comma items) (close "]") );
+            ( 2,
+              list_size (int_range 0 4) (map3 (fun k c v -> k ^ c ^ v) key colon (value (depth - 1)))
+              >>= fun fields ->
+              map2 (fun body c -> "{" ^ body ^ c) (join comma fields) (close "}") );
+          ]
+    in
+    map3 (fun a v b -> a ^ v ^ b) ws v ws
+
+  (* Requests the server can act on: cheap queries only, with hostile
+     parameters. *)
+  let request =
+    let field k g = map (fun v -> Printf.sprintf "%S:%s" k v) g in
+    let op =
+      oneofl
+        [ "ping"; "stats"; "invalidate"; "shutdown"; "worst_case"; "select";
+          "candidates"; "batch"; "frobnicate"; "" ]
+    in
+    let deltas = map (fun l -> "[" ^ String.concat "," l ^ "]") (list_size (int_range 0 4) number) in
+    let params =
+      [
+        field "query" (oneofl [ "\"Q6\""; "\"Q99\""; "\"\""; "7"; "null" ]);
+        field "layout" (oneofl [ "\"same\""; "\"per-table\""; "\"split\""; "\"bogus\""; "1" ]);
+        field "deltas" (frequency [ (3, deltas); (1, value 1) ]);
+        field "delta" number;
+        field "budget" number;
+        field "seed" number;
+        field "max_probes" (oneofl [ "50"; "0"; "-1"; "1e9"; "2.5"; "\"x\"" ]);
+        field "scope" (oneofl [ "\"all\""; "\"sweeps\""; "\"candidates\""; "\"bogus\"" ]);
+        field "id" (value 1);
+        field "unknown_field" (value 1);
+      ]
+    in
+    let target =
+      frequency
+        [
+          (3, map2 (fun q l -> [ q; l ]) (List.nth params 0) (List.nth params 1));
+          (1, return []);
+        ]
+    in
+    let one =
+      op >>= fun op ->
+      target >>= fun target ->
+      list_size (int_range 0 4) (oneof params) >>= fun ps ->
+      return
+        ("{" ^ String.concat "," ((Printf.sprintf "\"op\":%S" op :: target) @ ps) ^ "}")
+    in
+    frequency
+      [
+        (4, one);
+        ( 1,
+          list_size (int_range 0 4) one >>= fun subs ->
+          return ("{\"op\":\"batch\",\"requests\":[" ^ String.concat "," subs ^ "]}") );
+      ]
+
+  (* A handful of byte edits: truncate, insert, delete or replace. *)
+  let mutate s =
+    list_size (int_range 1 3) (triple (int_range 0 3) (int_range 0 max_int) char)
+    >>= fun edits ->
+    return
+      (List.fold_left
+         (fun s (kind, at, c) ->
+           let n = String.length s in
+           let i = if n = 0 then 0 else at mod (n + 1) in
+           match kind with
+           | 0 -> String.sub s 0 i
+           | 1 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+           | 2 when i < n -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+           | _ when i < n -> String.sub s 0 i ^ String.make 1 c ^ String.sub s (i + 1) (n - i - 1)
+           | _ -> s)
+         s edits)
+
+  let input =
+    let doc = frequency [ (3, value 4); (2, request) ] in
+    frequency
+      [
+        (4, doc);
+        (3, doc >>= mutate);
+        (1, string_size ~gen:char (int_range 0 64));
+      ]
+end
+
+let same_parse s =
+  match (Json.of_string s, Json_ref.of_string s) with
+  | Ok v, Ok w -> json_equal v w
+  | Error e, Error e' -> String.equal e e'
+  | _ -> false
+
+let error_kinds = [ "malformed"; "shed"; "circuit_open"; "failed"; "unsupported" ]
+
+(* A typed response: an object whose [ok] is a boolean and which, when
+   false, names one of the error kinds. *)
+let typed_response line =
+  match Json.of_string line with
+  | Ok resp -> (
+      match Option.bind (Json.member "ok" resp) Json.to_bool with
+      | Some true -> true
+      | Some false -> (
+          match Option.bind (Json.member "error" resp) (Json.member "kind") with
+          | Some (Json.Str k) -> List.mem k error_kinds
+          | _ -> false)
+      | None -> false)
+  | Error _ -> false
+
+let fuzz_server = lazy (Server.create ~config:small_config ())
+
+let handled s =
+  match Server.handle_line (Lazy.force fuzz_server) s with
+  | line -> typed_response line
+  | exception _ -> false
+
+let prop_json_fuzz =
+  QCheck.Test.make ~count:10_000
+    ~name:"fuzz: Json.of_string == reference, handle_line typed"
+    (QCheck.make ~print:(Printf.sprintf "%S") Fuzz.input)
+    (fun s -> same_parse s && handled s)
+
+(* Every prefix of a few well-formed requests, and nesting hundreds of
+   thousands of levels deep, closed, unclosed and truncated. *)
+let test_json_fuzz_fixed () =
+  let check what s =
+    Alcotest.(check bool) (what ^ ": parse == reference") true (same_parse s);
+    Alcotest.(check bool) (what ^ ": typed response") true (handled s)
+  in
+  List.iter
+    (fun doc ->
+      for i = 0 to String.length doc - 1 do
+        check (Printf.sprintf "prefix %d of %S" i doc) (String.sub doc 0 i)
+      done)
+    [
+      wc_request ();
+      select_request ~layout:"per-table" ();
+      "{\"id\":\"\\u00e9\\n\",\"op\":\"batch\",\"requests\":[{\"op\":\"ping\"},\
+       {\"op\":\"stats\",\"x\":[1e400,-0,2.5E-3,true,null]}]}";
+    ];
+  let nest depth o c = String.make depth o ^ String.make depth c in
+  check "deep arrays" (nest 300_000 '[' ']');
+  check "deep arrays, unclosed" (String.make 300_000 '[');
+  check "deep arrays, truncated" (String.sub (nest 300_000 '[' ']') 0 450_000);
+  check "deep objects"
+    (String.concat "" (List.init 100_000 (fun _ -> "{\"a\":"))
+    ^ "1" ^ String.make 100_000 '}');
+  check "deep id" ("{\"op\":\"ping\",\"id\":" ^ nest 100_000 '[' ']' ^ "}")
+
 let () =
   Alcotest.run "server"
     [
@@ -856,6 +1089,12 @@ let () =
           Alcotest.test_case "non-finite" `Quick test_json_non_finite;
           QCheck_alcotest.to_alcotest prop_json_roundtrip;
           QCheck_alcotest.to_alcotest prop_json_float_tokens;
+        ] );
+      ( "fuzz",
+        [
+          QCheck_alcotest.to_alcotest prop_json_fuzz;
+          Alcotest.test_case "prefixes and deep nesting" `Quick
+            test_json_fuzz_fixed;
         ] );
       ( "lru",
         [

@@ -210,6 +210,8 @@ let k003_scope file =
       "lib/plan/node.ml";
       "lib/optimizer/optimizer.ml";
       "lib/server/json.ml";
+      "lib/core/bounds.ml";
+      "lib/core/complementary.ml";
     ]
 
 (* ------------------------------------------------------------------ *)
